@@ -139,6 +139,3 @@ class SystolicConfig:
     @property
     def peak_macs_per_s(self) -> float:
         return self.macs_per_cycle * self.fmt.clock_hz
-
-    def with_num_arrays(self, num_arrays: int) -> "SystolicConfig":
-        return SystolicConfig(self.fmt, max(1, num_arrays), self.rows, self.cols)

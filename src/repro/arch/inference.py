@@ -12,18 +12,23 @@ autoregressive-decode latency model the token serving engine
 token per running session, attention read over each session's KV
 context) and :func:`prefill_latency` prices the prompt pass that builds
 a session's KV state.
+
+Every price is the closed form of :func:`~repro.arch.latency.mirage_gemm_cost`
+on each :class:`GemmShape`, keeping the faster of DF1 and DF2 per GEMM;
+no per-call mapping objects and no cache across calls, so the serving
+engine's cross-check re-derives every step from scratch.  The floats are
+bit-identical to pricing through :func:`~repro.arch.tiling.map_gemm`,
+and each ``*_components`` variant reproduces its plain price bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 from .accelerator import MirageAccelerator
 from .area import mirage_footprint_area
-from .dataflow import MIRAGE_DATAFLOWS, schedule_opt2
-from .latency import mirage_gemm_components, mirage_latency_fn
-from .workloads import GemmShape, LayerShape, TrainingGemm, training_gemms, workload
+from .latency import mirage_gemm_cost
+from .workloads import GemmShape, LayerShape, workload
 
 __all__ = [
     "attention_token_latency",
@@ -43,8 +48,32 @@ __all__ = [
 ]
 
 
-def _forward_gemms(layers: Sequence[LayerShape]) -> List[TrainingGemm]:
-    return [tg for layer in layers for tg in training_gemms(layer) if tg.role == "fwd"]
+def _price_forward(
+    gemms: Sequence[GemmShape], accelerator: Optional[MirageAccelerator]
+) -> Tuple[float, float]:
+    """``(total_s, reprogram_s)`` of one forward pass over ``gemms``.
+
+    Each forward GEMM is priced in closed form under DF1 and DF2
+    (:func:`~repro.arch.latency.mirage_gemm_cost`) and the faster one is
+    kept, DF1 on ties; totals accumulate in GEMM order.  An empty list
+    is rejected: a silent 0.0 here used to propagate into serving
+    dispatch as a zero-length busy window, which reads as infinite
+    throughput.
+    """
+    if not gemms:
+        raise ValueError(
+            "layers contain no forward GEMMs to price (empty layer list?)"
+        )
+    config = (accelerator or MirageAccelerator()).config
+    total = 0.0
+    reprogram = 0.0
+    for gemm in gemms:
+        df1 = mirage_gemm_cost(gemm, config, "DF1")
+        df2 = mirage_gemm_cost(gemm, config, "DF2")
+        seconds, rounds = df2 if df2[0] < df1[0] else df1
+        total += seconds
+        reprogram += rounds * config.reprogram_time_s
+    return total, reprogram
 
 
 def inference_latency(
@@ -53,21 +82,11 @@ def inference_latency(
 ) -> float:
     """Seconds for one forward pass (OPT2 dataflow over forward GEMMs).
 
-    An empty layer list (or one with no forward GEMMs) is rejected: a
-    silent 0.0 here used to propagate into serving dispatch as a
-    zero-length busy window, which reads as infinite throughput.
+    Inference runs only each layer's forward GEMM, so OPT2 reduces to
+    the faster of DF1 and DF2 per GEMM, summed in layer order.  An empty
+    layer list raises ``ValueError``.
     """
-    accelerator = accelerator or MirageAccelerator()
-    fn = mirage_latency_fn(accelerator.config)
-    gemms = _forward_gemms(layers)
-    if not gemms:
-        raise ValueError(
-            "layers contain no forward GEMMs to price (empty layer list?)"
-        )
-    total = 0.0
-    for tg in gemms:
-        total += min(fn(tg, df) for df in MIRAGE_DATAFLOWS)
-    return total
+    return _price_forward([layer.gemm for layer in layers], accelerator)[0]
 
 
 def inference_latency_components(
@@ -76,32 +95,19 @@ def inference_latency_components(
 ) -> Dict[str, float]:
     """:func:`inference_latency`, split into reprogram vs stream time.
 
-    ``total_s`` is **bit-identical** to :func:`inference_latency`: the
-    same per-GEMM min over dataflows, accumulated in the same order with
-    the same arithmetic (:func:`mirage_gemm_components` reproduces
-    :func:`mirage_gemm_latency` exactly; dataflow ties break the same
-    way, and tied totals are equal anyway).  ``reprogram_s`` sums each
-    chosen mapping's exact phase-shifter settle time; ``stream_s`` is
-    the residual ``total_s - reprogram_s`` — a reporting split, never
+    ``total_s`` is **bit-identical** to :func:`inference_latency`: both
+    are the same closed-form pass.  ``reprogram_s`` sums each chosen
+    dataflow's exact phase-shifter settle time; ``stream_s`` is the
+    residual ``total_s - reprogram_s`` — a reporting split, never
     re-added when asserting exactness.
     """
-    accelerator = accelerator or MirageAccelerator()
-    config = accelerator.config
-    gemms = _forward_gemms(layers)
-    if not gemms:
-        raise ValueError(
-            "layers contain no forward GEMMs to price (empty layer list?)"
-        )
-    total = 0.0
-    reprogram = 0.0
-    for tg in gemms:
-        best = None
-        for df in MIRAGE_DATAFLOWS:
-            cand = mirage_gemm_components(tg.gemm, config, df)
-            if best is None or cand["total_s"] < best["total_s"]:
-                best = cand
-        total += best["total_s"]
-        reprogram += best["reprogram_s"]
+    return _components([layer.gemm for layer in layers], accelerator)
+
+
+def _components(
+    gemms: Sequence[GemmShape], accelerator: Optional[MirageAccelerator]
+) -> Dict[str, float]:
+    total, reprogram = _price_forward(gemms, accelerator)
     return {
         "total_s": total,
         "reprogram_s": reprogram,
@@ -119,7 +125,7 @@ def inference_metrics(
     layers = workload(name, batch=batch)
     latency = inference_latency(layers, accelerator)
     ips = batch / latency
-    fwd_macs = sum(tg.gemm.macs for tg in _forward_gemms(layers))
+    fwd_macs = sum(layer.gemm.macs for layer in layers)
     energy = accelerator.energy_per_mac * fwd_macs
     power = energy / latency
     area_mm2 = mirage_footprint_area(accelerator.config) / 1e-6
@@ -203,28 +209,22 @@ def attention_token_latency(
     descriptor via ``count = num_layers * num_heads``, whose tiles the
     latency model spreads across the ``num_arrays`` RNS-MMVMUs.
     """
-    return inference_latency(
-        _decode_attention_layers(kv, context_len), accelerator
-    )
-
-
-def _decode_attention_layers(kv, context_len: int) -> List[LayerShape]:
     _check_kv_spec(kv)
+    return _price_forward(
+        _decode_attention_gemms(kv, context_len), accelerator
+    )[0]
+
+
+def _decode_attention_gemms(kv, context_len: int) -> Tuple[GemmShape, ...]:
+    """The score and context GEMMs of one decoded token's KV read
+    (``kv`` already checked by the public caller)."""
     if context_len < 1:
         raise ValueError(f"context_len must be >= 1, got {context_len}")
     count = kv.num_layers * kv.num_heads
-    return [
-        LayerShape(
-            "decode.scores",
-            GemmShape(1, kv.head_dim, context_len, count=count),
-            "attention",
-        ),
-        LayerShape(
-            "decode.context",
-            GemmShape(1, context_len, kv.head_dim, count=count),
-            "attention",
-        ),
-    ]
+    return (
+        GemmShape(1, kv.head_dim, context_len, count),
+        GemmShape(1, context_len, kv.head_dim, count),
+    )
 
 
 def attention_token_components(
@@ -235,11 +235,10 @@ def attention_token_components(
     """:func:`attention_token_latency` split into reprogram vs stream.
 
     ``total_s`` is bit-identical to :func:`attention_token_latency`
-    (same layer shapes through :func:`inference_latency_components`).
+    (same GEMMs through the same closed-form pass).
     """
-    return inference_latency_components(
-        _decode_attention_layers(kv, context_len), accelerator
-    )
+    _check_kv_spec(kv)
+    return _components(_decode_attention_gemms(kv, context_len), accelerator)
 
 
 def decode_step_latency(
@@ -269,12 +268,13 @@ def decode_step_latency(
     token_parallel_s = microbatch_latency(layers, accelerator)
     attention_s = 0.0
     if kv is not None:
+        _check_kv_spec(kv)
         per_len: Dict[int, float] = {}
         for length in context_lens:
             if length not in per_len:
-                per_len[length] = attention_token_latency(
-                    kv, length, accelerator
-                )
+                per_len[length] = _price_forward(
+                    _decode_attention_gemms(kv, length), accelerator
+                )[0]
             attention_s += per_len[length]
     step_s = token_parallel_s + attention_s
     return {
@@ -308,14 +308,15 @@ def decode_step_components(
     attention_s = 0.0
     attention_reprogram_s = 0.0
     if kv is not None:
-        per_len: Dict[int, Dict[str, float]] = {}
+        _check_kv_spec(kv)
+        per_len: Dict[int, Tuple[float, float]] = {}
         for length in context_lens:
             if length not in per_len:
-                per_len[length] = attention_token_components(
-                    kv, length, accelerator
+                per_len[length] = _price_forward(
+                    _decode_attention_gemms(kv, length), accelerator
                 )
-            attention_s += per_len[length]["total_s"]
-            attention_reprogram_s += per_len[length]["reprogram_s"]
+            attention_s += per_len[length][0]
+            attention_reprogram_s += per_len[length][1]
     return {
         "batch": float(batch),
         "token_parallel_s": token["total_s"],
@@ -361,29 +362,22 @@ def chunked_prefill_latency(
     accelerator = accelerator or MirageAccelerator()
     total = microbatch_latency(layers, accelerator)
     if kv is not None:
-        attn = _prefill_attention_layers(kv, chunk_len, context_len)
-        total += inference_latency(attn, accelerator)
+        attn = _prefill_attention_gemms(kv, chunk_len, context_len)
+        total += _price_forward(attn, accelerator)[0]
     return total
 
 
-def _prefill_attention_layers(
+def _prefill_attention_gemms(
     kv, chunk_len: int, context_len: int
-) -> List[LayerShape]:
+) -> Tuple[GemmShape, ...]:
+    """The causal score and context GEMMs of one prefill chunk."""
     _check_kv_spec(kv)
     count = kv.num_layers * kv.num_heads
     span = context_len + chunk_len
-    return [
-        LayerShape(
-            "prefill.scores",
-            GemmShape(chunk_len, kv.head_dim, span, count=count),
-            "attention",
-        ),
-        LayerShape(
-            "prefill.context",
-            GemmShape(chunk_len, span, kv.head_dim, count=count),
-            "attention",
-        ),
-    ]
+    return (
+        GemmShape(chunk_len, kv.head_dim, span, count),
+        GemmShape(chunk_len, span, kv.head_dim, count),
+    )
 
 
 def chunked_prefill_components(
@@ -418,11 +412,9 @@ def chunked_prefill_components(
     attention_s = 0.0
     attention_reprogram_s = 0.0
     if kv is not None:
-        attn = inference_latency_components(
-            _prefill_attention_layers(kv, chunk_len, context_len), accelerator
+        attention_s, attention_reprogram_s = _price_forward(
+            _prefill_attention_gemms(kv, chunk_len, context_len), accelerator
         )
-        attention_s = attn["total_s"]
-        attention_reprogram_s = attn["reprogram_s"]
         total += attention_s
     return {
         "total_s": total,

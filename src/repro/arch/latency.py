@@ -12,16 +12,15 @@ or stationary tile, clocked per data format.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from .config import MirageConfig, SystolicConfig
 from .dataflow import MIRAGE_DATAFLOWS, SYSTOLIC_DATAFLOWS
-from .tiling import map_gemm
 from .workloads import GemmShape, LayerShape, TrainingGemm, training_gemms
 
 __all__ = [
+    "mirage_gemm_cost",
     "mirage_gemm_latency",
     "mirage_gemm_components",
     "mirage_latency_fn",
@@ -40,6 +39,35 @@ def _ceil_div(a: int, b: int) -> int:
 # ----------------------------------------------------------------------
 # Mirage
 # ----------------------------------------------------------------------
+def mirage_gemm_cost(
+    gemm: GemmShape, config: MirageConfig, dataflow: str = "DF1"
+) -> Tuple[float, int]:
+    """``(seconds, rounds)`` of one GEMM on Mirage under DF1 or DF2.
+
+    The closed form every Mirage pricing function shares, on integers
+    straight from the :class:`GemmShape` fields:
+    ``ceil(ceil(rows / v) * ceil(K / g) * count / num_arrays)`` rounds
+    of one reprogram plus ``stream_len`` cycles, where DF1 holds
+    ``A(M, K)`` and streams ``N`` and DF2 holds ``B^T(N, K)`` and streams
+    ``M``.  The tile counts equal :func:`~repro.arch.tiling.map_gemm`'s,
+    so the float is bit-identical to pricing through a ``TileMapping``.
+    """
+    if dataflow == "DF1":
+        rows, stream_len = gemm.m, gemm.n
+    elif dataflow == "DF2":
+        rows, stream_len = gemm.n, gemm.m
+    else:
+        raise ValueError(
+            f"Mirage supports {MIRAGE_DATAFLOWS} (DF3 would need per-cycle "
+            f"phase-shifter updates); got {dataflow!r}"
+        )
+    # Ceiling divisions written inline: this is the serving hot path.
+    tiles = -(-rows // config.v) * -(-gemm.k // config.g) * gemm.count
+    rounds = -(-tiles // config.num_arrays)
+    per_tile = config.reprogram_time_s + stream_len * config.cycle_time_s
+    return rounds * per_tile, rounds
+
+
 def mirage_gemm_latency(
     gemm: GemmShape, config: MirageConfig, dataflow: str = "DF1"
 ) -> float:
@@ -47,18 +75,9 @@ def mirage_gemm_latency(
 
     Tiles of the stationary operand are distributed over the
     ``num_arrays`` RNS-MMVMUs; each costs one reprogram plus one cycle per
-    streamed vector.
+    streamed vector (:func:`mirage_gemm_cost`).
     """
-    if dataflow not in MIRAGE_DATAFLOWS:
-        raise ValueError(
-            f"Mirage supports {MIRAGE_DATAFLOWS} (DF3 would need per-cycle "
-            f"phase-shifter updates); got {dataflow!r}"
-        )
-    stationary = "first" if dataflow == "DF1" else "second"
-    mapping = map_gemm(gemm, config.v, config.g, stationary)
-    rounds = _ceil_div(mapping.tiles, config.num_arrays)
-    per_tile = config.reprogram_time_s + mapping.stream_len * config.cycle_time_s
-    return rounds * per_tile
+    return mirage_gemm_cost(gemm, config, dataflow)[0]
 
 
 def mirage_gemm_components(
@@ -67,7 +86,7 @@ def mirage_gemm_components(
     """Split one Mirage GEMM's latency into its physical components.
 
     Returns ``total_s`` (**bit-identical** to
-    :func:`mirage_gemm_latency` — same mapping, same arithmetic),
+    :func:`mirage_gemm_latency` — the same :func:`mirage_gemm_cost`),
     ``reprogram_s`` (phase-shifter settles: ``rounds * reprogram_time``,
     exact by construction) and ``stream_s`` defined as the residual
     ``total_s - reprogram_s``.  The residual convention matters for the
@@ -75,15 +94,7 @@ def mirage_gemm_components(
     reproduces ``total_s`` only up to rounding, so exactness gates are
     stated on ``total_s``; the split is a reporting view.
     """
-    if dataflow not in MIRAGE_DATAFLOWS:
-        raise ValueError(
-            f"Mirage supports {MIRAGE_DATAFLOWS}; got {dataflow!r}"
-        )
-    stationary = "first" if dataflow == "DF1" else "second"
-    mapping = map_gemm(gemm, config.v, config.g, stationary)
-    rounds = _ceil_div(mapping.tiles, config.num_arrays)
-    per_tile = config.reprogram_time_s + mapping.stream_len * config.cycle_time_s
-    total = rounds * per_tile
+    total, rounds = mirage_gemm_cost(gemm, config, dataflow)
     reprogram = rounds * config.reprogram_time_s
     return {
         "total_s": total,

@@ -53,10 +53,6 @@ class DesignPoint:
     def effective_macs_per_s(self) -> float:
         return self.peak_macs_per_s * self.utilization
 
-    @property
-    def effective_macs_per_joule(self) -> float:
-        return 1.0 / self.energy_per_mac * self.utilization
-
     def dominates(self, other: "DesignPoint") -> bool:
         """Pareto dominance on (energy/MAC ↓, area ↓, eff. throughput ↑)."""
         no_worse = (

@@ -14,13 +14,20 @@
   (including this checker's layering pass) can reason about them.
 * ``hygiene-shadow-builtin`` — a parameter/variable named ``list``,
   ``id``, ``type``… silently changes the meaning of later code.
+* ``hygiene-entity-eq`` — a mutable ``@dataclass`` with an ndarray
+  field gets a generated ``__eq__`` that compares every field: ``x in
+  items`` and ``items.remove(x)`` then scan field by field (or raise on
+  the ambiguous array truth value) and can hit an equal-valued twin.
+  Mutable entities need ``eq=False`` (identity); values need
+  ``frozen=True``.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Set
+from typing import Iterator, List, Set
 
+from ..astutil import terminal_name
 from ..findings import Finding
 from ..registry import ModuleContext, rule
 
@@ -206,3 +213,69 @@ def check_shadow_builtin(ctx: ModuleContext) -> Iterator[Finding]:
                         f"loop variable '{name.id}' shadows a builtin; "
                         "rename it",
                     )
+
+
+def _dataclass_options(node: ast.ClassDef):
+    """The ``@dataclass(...)`` keywords of a class, or None if it is not one."""
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if terminal_name(target) != "dataclass":
+            continue
+        if not isinstance(deco, ast.Call):
+            return {}
+        return {
+            kw.arg: kw.value.value
+            for kw in deco.keywords
+            if kw.arg and isinstance(kw.value, ast.Constant)
+        }
+    return None
+
+
+def _is_ndarray_field(annotation: ast.AST) -> bool:
+    """``np.ndarray``, or an Optional/Union/List of one (not a Callable's
+    return type: a function field is not an array field)."""
+    if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+        try:
+            annotation = ast.parse(annotation.value, mode="eval").body
+        except SyntaxError:
+            return False
+    if isinstance(annotation, (ast.Name, ast.Attribute)):
+        return terminal_name(annotation) == "ndarray"
+    if isinstance(annotation, ast.BinOp) and isinstance(annotation.op, ast.BitOr):
+        return _is_ndarray_field(annotation.left) or _is_ndarray_field(
+            annotation.right
+        )
+    if isinstance(annotation, ast.Subscript) and terminal_name(
+        annotation.value
+    ) in ("Optional", "Union", "List", "list"):
+        inner = annotation.slice
+        parts = inner.elts if isinstance(inner, ast.Tuple) else [inner]
+        return any(_is_ndarray_field(part) for part in parts)
+    return False
+
+
+@rule("hygiene-entity-eq", "mutable dataclass with ndarray fields compares by value")
+def check_entity_eq(ctx: ModuleContext) -> Iterator[Finding]:
+    for node in ast.walk(ctx.tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        options = _dataclass_options(node)
+        if options is None:
+            continue
+        if options.get("frozen") is True or options.get("eq") is False:
+            continue
+        fields: List[str] = [
+            stmt.target.id
+            for stmt in node.body
+            if isinstance(stmt, ast.AnnAssign)
+            and isinstance(stmt.target, ast.Name)
+            and _is_ndarray_field(stmt.annotation)
+        ]
+        if fields:
+            yield ctx.finding(
+                "hygiene-entity-eq",
+                node,
+                f"dataclass '{node.name}' compares its ndarray field(s) "
+                f"{', '.join(fields)} by value; use eq=False for a mutable "
+                "entity or frozen=True for a value",
+            )

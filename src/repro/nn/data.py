@@ -41,9 +41,9 @@ EOS_ID = 2
 _NUM_SPECIAL = 3
 
 
-@dataclass
+@dataclass(eq=False)
 class ArrayDataset:
-    """A bundle of aligned arrays with a length."""
+    """A bundle of aligned arrays with a length (compared by identity)."""
 
     inputs: np.ndarray
     targets: np.ndarray

@@ -88,11 +88,11 @@ class DecodeServiceModel(ServiceModel):
     Extends :class:`~repro.serve.runtime.ServiceModel` (token-parallel
     batch GEMMs per (model, batch)) with more memos: the per-token
     attention read per (model, context_len) and the prefill chunk per
-    (model, chunk_len, resident_context).  All reduce to
-    ``arch.inference`` calls, and the accumulation order mirrors
-    :func:`decode_step_latency` / :func:`chunked_prefill_latency`
-    exactly, so the telemetry cross-check reproduces every recorded
-    step latency bit-for-bit from scratch.
+    (model, chunk_len, resident_context).  All reduce to the
+    closed-form ``arch.inference`` pricing, and the accumulation order
+    mirrors :func:`decode_step_latency` / :func:`chunked_prefill_latency`
+    exactly, so the telemetry cross-check, which bypasses these memos,
+    reproduces every recorded step latency bit-for-bit from scratch.
     """
 
     def __init__(self, accelerator: Optional[MirageAccelerator] = None):
@@ -1127,7 +1127,10 @@ class TokenServingEngine:
         drift between dispatch accounting and the hardware model shows
         up as a nonzero ``max_abs_error_s``.  The check covers chunked
         steps: each recorded (resident_context, chunk_len) pair reprices
-        independently.
+        independently.  Each re-derivation evaluates the closed-form
+        GEMM pricing on integer tile counts (no per-call mapping
+        objects), bit-identical to the tile-mapping path, so the full
+        re-pricing stays a small share of a run.
         """
         horizon = max(scenario.duration_s, self.telemetry.makespan())
         out = self.telemetry.summary(horizon, ttft_slo_s=self.profile.ttft_slo_s)

@@ -96,9 +96,14 @@ class DecodeModelProfile:
         raise ValueError(f"model {self.name!r} has no Linear layer")
 
 
-@dataclass
+@dataclass(eq=False)
 class DecodeSession:
     """One autoregressive generation request and its engine-side state.
+
+    A session is a mutable entity and compares by identity: the
+    scheduler's ``s in running`` and ``running.remove(s)`` find the
+    object itself, in O(1) per element, never a session that merely
+    holds equal field values.
 
     ``x`` is the current recurrence input row (the functional stand-in
     for "last sampled token"); it survives preemption, so a resumed

@@ -68,9 +68,12 @@ class RequestStatus:
     FAILED = "failed"
 
 
-@dataclass
+@dataclass(eq=False)
 class InferenceRequest:
     """One inference call: an input row destined for a named model.
+
+    A request is a mutable entity, so it compares by identity: removing
+    it from a queue removes that object, never an equal-valued twin.
 
     Timing fields are simulated-clock seconds, filled in as the request
     moves through the runtime; ``output`` receives the model's output row

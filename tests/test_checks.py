@@ -69,6 +69,7 @@ def active_rules(report):
         ("bad_assert_validation.py", "hygiene-assert-validation"),
         ("bad_module_side_effect.py", "hygiene-module-side-effect"),
         ("bad_shadow_builtin.py", "hygiene-shadow-builtin"),
+        ("bad_entity_eq.py", "hygiene-entity-eq"),
     ],
 )
 def test_rule_fires_on_bad_fixture(fixture, rule_id):
@@ -80,6 +81,17 @@ def test_clean_fixture_is_clean():
     report = run_fixture("ok_clean.py")
     assert report.active == [], report.render_text()
     assert report.files_checked == 1
+
+
+def test_entity_eq_flags_each_value_equal_array_dataclass():
+    report = run_fixture("bad_entity_eq.py")
+    assert [f.line for f in report.active] == [11, 17, 23]
+    assert "x" in report.active[0].message
+
+
+def test_entity_eq_accepts_identity_frozen_and_callable_fields():
+    report = run_fixture("ok_entity_eq.py")
+    assert report.active == [], report.render_text()
 
 
 def test_relaxed_profile_drops_test_hostile_rules():
@@ -368,6 +380,7 @@ def test_registry_is_complete():
         "hygiene-assert-validation",
         "hygiene-module-side-effect",
         "hygiene-shadow-builtin",
+        "hygiene-entity-eq",
     }
 
 

@@ -1,5 +1,7 @@
 """Token serving engine: sessions, KV paging, iteration-level scheduling."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -253,6 +255,19 @@ class TestDecodeSession:
         assert s.total_latency == 4.0
         assert s.tpot == pytest.approx(1.0)
 
+    def test_sessions_compare_by_identity(self):
+        # Same field values (x included), distinct entities: a scheduler
+        # list must find and remove the object it is handed.
+        a = DecodeSession(0, "m0", 4, 2, 0.0, x=np.ones(3))
+        b = DecodeSession(0, "m0", 4, 2, 0.0, x=np.ones(3))
+        assert a != b and a == a
+        c = DecodeSession(1, "m0", 4, 2, 0.0)
+        d = DecodeSession(1, "m0", 4, 2, 0.0)
+        running = [c, d]
+        running.remove(d)
+        assert running == [c] and running[0] is c
+        assert d not in running
+
     def test_profile_requires_recurrent_widths(self):
         rng = np.random.default_rng(0)
         bad = Sequential(Linear(8, 4, rng=rng))
@@ -472,6 +487,28 @@ class TestEngineScheduling:
             engine.telemetry.steps
         )
         assert report["kv"]["peak_occupancy"] <= 1.0
+
+    def test_report_cross_check_catches_one_ulp_of_drift(self, monkeypatch):
+        # The cross-check re-prices every step from scratch, so a single
+        # ulp of drift in the engine's memoised attention price for one
+        # context length must surface as a nonzero error.  Length 8 rides
+        # in steps where that ulp survives rounding in the step's sum.
+        from repro.serve.engine.scheduler import DecodeServiceModel
+
+        real = DecodeServiceModel.attention_latency
+
+        def drifted(self, model, context_len):
+            value = real(self, model, context_len)
+            return math.nextafter(value, math.inf) if context_len == 8 else value
+
+        monkeypatch.setattr(DecodeServiceModel, "attention_latency", drifted)
+        engine = make_engine(max_batch_size=4, execute=False)
+        sc = session_scenario(
+            [(0.0, 0, 3, 5), (0.0, 2, 2, 2), (1e-8, 0, 6, 4)]
+        )
+        engine.run(sc, seed=1)
+        report = engine.report(sc)
+        assert report["analytic_consistency"]["max_abs_error_s"] > 0.0
 
     def test_kv_occupancy_never_exceeds_budget(self):
         engine = make_engine(blocks=10, block_tokens=2, max_batch_size=6)
