@@ -356,15 +356,6 @@ class ExecutorPool:
             return min(routable)
         return min(self.workers[w].busy_until for w in self._replicas[name])
 
-    def next_available_time(self, name: str) -> Optional[float]:
-        """Earliest free time among routable replicas; None if there are none."""
-        routable = [
-            self.workers[w].busy_until
-            for w in self._replicas[name]
-            if self.workers[w].responsive and self.workers[w].health != "dead"
-        ]
-        return min(routable) if routable else None
-
     # ------------------------------------------------------------------
     # Failures and replacement
     # ------------------------------------------------------------------

@@ -29,6 +29,8 @@ from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from .clock import time_at_or_before
+
 __all__ = [
     "Priority",
     "RequestStatus",
@@ -98,12 +100,6 @@ class InferenceRequest:
     # is no longer worth serving (None = no deadline).
     retries: int = 0
     deadline: Optional[float] = None
-
-    @property
-    def queue_latency(self) -> Optional[float]:
-        if self.dispatch_time is None:
-            return None
-        return self.dispatch_time - self.arrival_time
 
     @property
     def total_latency(self) -> Optional[float]:
@@ -224,8 +220,6 @@ class AdmissionQueue:
         (e.g. queued behind a fleet outage) still reaches a terminal
         state instead of stranding the event loop.
         """
-        from .clock import time_at_or_before
-
         expired: List[InferenceRequest] = []
         for classes in self._queues.values():
             for q in classes.values():

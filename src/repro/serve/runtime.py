@@ -344,10 +344,6 @@ class Autoscaler:
         return sum(self._rs.values())
 
     # ------------------------------------------------------------------
-    def desired_replicas(self, name: str, now: float) -> int:
-        """The controller decision for one model at time ``now``."""
-        return self._decide(name, now)[0]
-
     def _decide(
         self, name: str, now: float
     ) -> Tuple[int, Dict[str, object]]:
@@ -570,8 +566,15 @@ class ServingRuntime:
         rng = np.random.default_rng(seed)
         heap: List[Tuple[float, int, int, object]] = []
         seq = itertools.count()
+        # Times of the pending _DEADLINE wake-ups: a second one for the
+        # same time would only re-run a drain that changes nothing.
+        armed: set = set()
 
         def push(t: float, kind: int, payload: object) -> None:
+            if kind == _DEADLINE:
+                if t in armed:
+                    return
+                armed.add(t)
             heapq.heappush(heap, (t, kind, next(seq), payload))
 
         if faults is not None:
@@ -619,6 +622,8 @@ class ServingRuntime:
             elif kind == _FAULT:
                 for event in self._injector.due(now):
                     self._apply_fault(event, now, push)
+            elif kind == _DEADLINE:
+                armed.remove(t)
             elif kind == _HEALTH:
                 self._check_health(now, push)
             elif kind == _SCALE:
@@ -635,7 +640,10 @@ class ServingRuntime:
                 next_tick = (payload + 1) * self.autoscaler.policy.interval_s
                 if time_at_or_before(next_tick, last_arrival) or self.queue.depth > 0:
                     push(next_tick, _SCALE, payload + 1)
-            # _DEADLINE events exist only to trigger a drain.
+            # _DEADLINE events exist only to trigger a drain; push keeps
+            # at most one pending per timestamp, whichever of the batching
+            # deadline, a scale-up's ready_at or a replacement's ready
+            # armed it.
             self._drain(now, push)
             self.telemetry.sample_queue_depth(now, self.queue.depth)
 

@@ -279,6 +279,11 @@ class Telemetry:
         return max(r.completion_time for r in self.completed)
 
     def queue_depth_stats(self) -> Dict[str, float]:
+        """Mean and max of the post-drain queue depth.
+
+        One sample per popped event-loop event, taken after that event's
+        drain, so the mean weights each depth by how many events saw it.
+        """
         if not self._depth_samples:
             return {"mean": 0.0, "max": 0.0}
         depths = np.array([d for _, d in self._depth_samples], dtype=np.float64)

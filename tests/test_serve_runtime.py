@@ -1,5 +1,8 @@
 """Serving runtime end-to-end: queue, batcher, dispatch, telemetry."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -8,14 +11,19 @@ from repro.core import PhotonicExecutor
 from repro.nn import Linear, ReLU, Sequential
 from repro.serve import (
     AdmissionQueue,
+    AutoscalerPolicy,
     BatchPolicy,
     ExecutorPool,
+    FaultPlan,
+    HealthPolicy,
     InferenceRequest,
     MicroBatcher,
     ModelProfile,
     RequestStatus,
+    RetryPolicy,
     ServingRuntime,
     SimulatedClock,
+    diurnal_scenario,
     model_layer_shapes,
     poisson_scenario,
 )
@@ -403,3 +411,103 @@ class TestRuntimeEndToEnd:
         # Each model stays on its placed worker (single replica).
         for r in tel.completed:
             assert r.worker_id == pool.replicas(r.model)[0]
+
+
+# ----------------------------------------------------------------------
+# Event-loop wake-ups: one pending deadline per timestamp
+# ----------------------------------------------------------------------
+def _backlog_runtime(seed=5, duration=1e-6, kills=(), deadline_s=None):
+    """A diurnal ramp that backs the queue up past one batching window.
+
+    Micro-batches of 32 with the autoscaler on (its scale-ups arm
+    ``ready_at`` wake-ups); ``kills`` adds replica crashes whose dead
+    declarations swap in prewarming replacements (their ``ready``
+    wake-ups) after hedged retries.
+    """
+    runtime = ServingRuntime(
+        ExecutorPool(4, policy="cache_affinity"),
+        BatchPolicy(max_batch_size=32, max_wait_s=1e-7),
+        queue_capacity=512,
+        autoscaler=AutoscalerPolicy(
+            interval_s=1e-7,
+            window_s=4e-7,
+            max_replicas=4,
+            slo_scale_down=0.4,
+            scale_down_cooldown_s=4e-7,
+        ),
+        retry=RetryPolicy(deadline_s=deadline_s),
+        health=HealthPolicy(suspect_after_s=5e-8, dead_after_s=1.5e-7),
+    )
+    runtime.register_model(ModelProfile("m0", mlp(0), replicas=1, slo_s=2e-6))
+    scen = diurnal_scenario("m0", 2e8, 3.2e9, duration, seed=seed, period=duration)
+    plan = (
+        FaultPlan.replica_kills([(f * duration, 0) for f in kills])
+        if kills
+        else None
+    )
+    runtime.run(scen, seed=7, faults=plan)
+    return runtime, scen
+
+
+def _canonical(obj):
+    """JSON-ready copy with every float spelled exactly (``float.hex``)."""
+    if isinstance(obj, float):
+        return float.hex(obj)
+    if isinstance(obj, dict):
+        return {str(k): _canonical(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_canonical(v) for v in obj]
+    return obj
+
+
+def _run_digest(runtime, scen) -> str:
+    """Hash of everything a run decides, bar the depth-sample mean."""
+    h = hashlib.sha256()
+    tel = runtime.telemetry
+    for r in tel.completed:
+        row = (r.request_id, r.dispatch_time, r.completion_time,
+               r.batch_size, r.worker_id)
+        h.update(json.dumps(_canonical(row)).encode())
+        h.update(r.output.tobytes())
+    for b in tel.batches:
+        row = (b.model, b.batch_size, b.worker_id, b.dispatch_time, b.service_s)
+        h.update(json.dumps(_canonical(row)).encode())
+    report = runtime.report(scen)
+    del report["queue_depth"]["mean"]
+    h.update(json.dumps(_canonical(report), sort_keys=True).encode())
+    return h.hexdigest()
+
+
+class TestDeadlineWakeups:
+    def test_event_count_scales_with_real_events(self):
+        # Every popped event samples the queue-depth gauge once, so the
+        # series length is the loop's pop count.  Real events are the
+        # arrivals, the completions (one per batch), the autoscaler ticks
+        # and one wake-up per distinct deadline or replica-ready time;
+        # duplicate wake-ups used to add ~6x the arrivals on top.
+        runtime, scen = _backlog_runtime()
+        tel = runtime.telemetry
+        assert tel.queue_depth_stats()["max"] > 32  # backed up past a batch
+        points = len(tel.registry.get("serve_queue_depth").series())
+        ticks = int(tel.makespan() / runtime.autoscaler.policy.interval_s) + 1
+        bound = 2 * (scen.num_requests + len(tel.batches)) + ticks
+        assert points <= bound, (points, bound)
+
+    @pytest.mark.parametrize(
+        "kwargs, expected",
+        [
+            ({}, "579f378ed12c54f4ec086d27773c5f2e763fcedcc1dcd4d7fec40b339278206f"),
+            (
+                {"seed": 6, "kills": (0.3, 0.55), "deadline_s": 8e-8},
+                "d575c01a7d0b579374b479cb3ca64aac9ee880f044b9f5b014e42c5e4f3e59e9",
+            ),
+        ],
+        ids=["diurnal-autoscale", "replica-crashes"],
+    )
+    def test_run_matches_recorded_golden(self, kwargs, expected):
+        # Digests recorded before duplicate deadline wake-ups were
+        # dropped: removing them must not move a single dispatch,
+        # completion, output, batch record or report entry.  Only the
+        # depth-sample mean may move (one sample per popped event).
+        runtime, scen = _backlog_runtime(**kwargs)
+        assert _run_digest(runtime, scen) == expected
