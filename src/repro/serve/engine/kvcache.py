@@ -205,23 +205,6 @@ class KVBlockManager:
             return None
         return self.num_blocks * self.block_tokens * self.bytes_per_token
 
-    def used_bytes(self) -> Optional[int]:
-        """Bytes pinned by referenced blocks (shared blocks counted once).
-
-        A session's partial tail block — always private, since matched
-        prefix blocks are full by construction — is counted sub-block
-        exact; every other pinned block counts a full block.
-        """
-        if self.bytes_per_token is None:
-            return None
-        tails = [
-            self._tokens[sid] % self.block_tokens
-            for sid, table in self._tables.items()
-            if table and self._tokens[sid] % self.block_tokens
-        ]
-        full = self.used_blocks - len(tails)
-        return (full * self.block_tokens + sum(tails)) * self.bytes_per_token
-
     # ------------------------------------------------------------------
     # Refcount plumbing
     # ------------------------------------------------------------------
@@ -278,10 +261,6 @@ class KVBlockManager:
         return fresh
 
     # ------------------------------------------------------------------
-    def can_reserve(self, tokens: int) -> bool:
-        """Conservative fit check (ignores possible prefix savings)."""
-        return self.blocks_for(tokens) <= self.free_blocks
-
     def attachable_pinned_blocks(
         self, prompt_tokens: Optional[Sequence[int]]
     ) -> int:

@@ -270,7 +270,7 @@ class TokenServingEngine:
             registry=registry,
         )
         self.clock = SimulatedClock()
-        streaming = bool(getattr(observability, "streaming", False))
+        streaming = observability is not None and observability.streaming
         self.telemetry = EngineTelemetry(registry=registry, streaming=streaming)
         if self.tracer is not None:
             pool.set_tracer(self.tracer)

@@ -333,9 +333,6 @@ class FaultInjector:
         self.applied.extend(fired)
         return fired
 
-    def applied_signature(self) -> Tuple[Tuple[float, str, int, float, float], ...]:
-        return tuple(e.key() for e in self.applied)
-
 
 # ----------------------------------------------------------------------
 # Heartbeat-style failure detection

@@ -23,8 +23,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -425,12 +426,104 @@ class _StepRecord:
     stall_s: float = 0.0
 
 
-@dataclass
-class _PrefixRecord:
-    """One admission-time prefix-cache lookup."""
+class _ExactSamples:
+    """A value distribution kept whole: exact percentiles and moments."""
 
-    prompt_tokens: int  # prompt ids presented to the cache
-    cached_tokens: int  # context tokens served from cache (no prefill)
+    def __init__(self):
+        self._values: List[float] = []
+
+    def add(self, value: float) -> None:
+        self._values.append(value)
+
+    @property
+    def count(self) -> int:
+        return len(self._values)
+
+    @property
+    def values(self) -> List[float]:
+        return list(self._values)
+
+    def summary(self) -> Dict[str, float]:
+        return summarize_latencies(self._values)
+
+    def percentile(self, q: float) -> float:
+        return percentile(self._values, q)
+
+    def mean(self) -> float:
+        return float(np.mean(self._values)) if self._values else 0.0
+
+    def std(self) -> float:
+        if not self._values:
+            return 0.0
+        return float(np.std(np.asarray(self._values, dtype=np.float64)))
+
+    def met(self, threshold: float) -> int:
+        """Values within ``threshold`` (a hair of float slack)."""
+        return sum(1 for v in self._values if v <= threshold + 1e-15)
+
+
+class _SketchedSamples:
+    """A value distribution in O(1) memory: a :class:`QuantileSketch`
+    (percentiles and CDF within relative ``alpha``) plus sequential
+    running sums for the mean and standard deviation."""
+
+    def __init__(self, alpha: float):
+        self.sketch = QuantileSketch(alpha=alpha)
+        self._total = 0.0
+        self._sq_total = 0.0
+
+    def add(self, value: float) -> None:
+        self.sketch.add(value)
+        self._total += value
+        self._sq_total += value * value
+
+    @property
+    def count(self) -> int:
+        return self.sketch.count
+
+    @property
+    def values(self) -> List[float]:
+        raise ValueError(
+            "streaming telemetry keeps no per-session TTFT list; "
+            "query the summary's sketched percentiles instead"
+        )
+
+    def summary(self) -> Dict[str, float]:
+        """The :func:`summarize_latencies` shape (p50/p95/p99 within
+        ``alpha``; mean — from the sketch's exactly rounded sum — and
+        max exact)."""
+        sketch = self.sketch
+        if not sketch.count:
+            return {"p50_s": 0.0, "p95_s": 0.0, "p99_s": 0.0,
+                    "mean_s": 0.0, "max_s": 0.0}
+        return {
+            "p50_s": sketch.percentile(50.0),
+            "p95_s": sketch.percentile(95.0),
+            "p99_s": sketch.percentile(99.0),
+            "mean_s": sketch.sum / sketch.count,
+            "max_s": sketch.max,
+        }
+
+    def percentile(self, q: float) -> float:
+        return self.sketch.percentile(q) if self.sketch.count else 0.0
+
+    def mean(self) -> float:
+        n = self.sketch.count
+        return self._total / n if n else 0.0
+
+    def std(self) -> float:
+        n = self.sketch.count
+        if not n:
+            return 0.0
+        mean = self._total / n
+        return math.sqrt(max(0.0, self._sq_total / n - mean * mean))
+
+    def met(self, threshold: float) -> float:
+        """Sketch CDF at ``threshold`` times the count: exact up to
+        bucket resolution, i.e. only values within relative ``alpha``
+        of ``threshold`` can land on the wrong side."""
+        n = self.sketch.count
+        return self.sketch.cdf(threshold) * n if n else 0.0
 
 
 class EngineTelemetry:
@@ -446,20 +539,28 @@ class EngineTelemetry:
     engine's accounting matches the analytic hardware model — the same
     cross-check discipline as request-level :class:`Telemetry`.
 
-    ``streaming=True`` switches to **bounded-memory** accounting: no
-    per-session/per-step record lists (``sessions``/``rejected``/
-    ``steps`` stay empty, ``ttfts()`` refuses), latency distributions
-    fold into :class:`~repro.serve.observability.sketch.QuantileSketch`
-    summaries with relative error ``sketch_alpha``, KV occupancy into a
-    fixed-budget :class:`~repro.serve.observability.streaming.WindowedSketch`
-    time series, and per-model/class attribution into a
-    :class:`~repro.serve.observability.streaming.SpaceSavingTopK` —
-    every event costs O(1) amortized memory, so telemetry stops scaling
-    with traffic (the ``bench_obs_scale`` gate).  Exact scalar totals
-    (tokens, counts, makespan, stall, prefix stats) are identical to
-    the record-keeping mode; only the distribution summaries carry the
-    declared ``alpha``.  Streaming gauges update their last value
-    without appending the unbounded ``(t, value)`` series.
+    Scalar totals (session, rejection, step and token counts, makespan,
+    TPOT, batch size, KV peaks, stall, prefill and prefix counters, the
+    per-class counts) are running sums in both modes, so they read the
+    same whichever mode recorded them.  ``streaming`` decides only the
+    rest:
+
+    * the TTFT distributions (overall and per class) and KV occupancy
+      are kept whole (exact percentiles, ``np.mean``/``np.std``) or
+      folded into :class:`~repro.serve.observability.sketch.QuantileSketch`
+      summaries with relative error ``sketch_alpha``;
+    * ``streaming=True`` retains no per-session/per-step records
+      (``sessions``/``rejected``/``steps`` stay empty, ``ttfts()``
+      refuses), and gauges update their last value without appending
+      the unbounded ``(t, value)`` series;
+    * it adds the summary's ``streaming`` block: sketched e2e and step
+      latencies, KV occupancy in a fixed-budget
+      :class:`~repro.serve.observability.streaming.WindowedSketch` time
+      series, and per-model/class attribution in a
+      :class:`~repro.serve.observability.streaming.SpaceSavingTopK`.
+
+    Every streaming event costs O(1) amortized memory, so telemetry
+    stops scaling with traffic (the ``bench_obs_scale`` gate).
     """
 
     def __init__(
@@ -545,12 +646,12 @@ class EngineTelemetry:
             "engine_active_decoders",
             "Active decode slots per step (streamed series)",
         )
+        # Record lists: filled only when not streaming.
         self.sessions: List = []
         self.rejected: List = []
         self.steps: List[_StepRecord] = []
         self.preemptions = 0
         self.preemptions_by_class: Counter = Counter()
-        self.prefix_records: List[_PrefixRecord] = []
         # Fault/recovery plane (PR 6) — all zero on fault-free runs.
         self.faults_injected: Counter = Counter()  # by FaultKind
         self.faults_corrected = 0
@@ -564,37 +665,37 @@ class EngineTelemetry:
         self.replica_crashes = 0
         self.replicas_replaced = 0
         self.health_transitions: List[Dict] = []
-        # Streaming-mode accumulators: O(1) state per event, replacing
-        # the record lists above (which stay empty in streaming mode).
-        alpha = self.sketch_alpha
+        # Running totals, kept in both modes.
         self._steps_n = 0
         self._active_total = 0
         self._stall_total = 0.0
         self._kv_peak_occ = 0.0
-        self._kv_occ_total = 0.0
         self._kv_peak_blocks = 0
         self._prefill_priced = 0
-        self._step_sketch = QuantileSketch(alpha=alpha)
-        self._kv_windows = WindowedSketch(
-            window_s=1e-9, max_windows=64, alpha=alpha
-        )
-        self._sessions_n = 0
         self._sessions_by_class: Counter = Counter()
-        self._rejected_n = 0
         self._rejected_by_class: Counter = Counter()
         self._tokens_total = 0
         self._tpot_span = 0.0
         self._tpot_tokens = 0
         self._last_finish = 0.0
-        self._ttft_sketch = QuantileSketch(alpha=alpha)
-        self._ttft_total = 0.0
-        self._ttft_sq_total = 0.0
-        self._ttft_by_class: Dict[int, QuantileSketch] = {}
-        self._e2e_sketch = QuantileSketch(alpha=alpha)
-        self._attribution = SpaceSavingTopK(16)
         self._prefix_lookups = 0
         self._prefix_hits = 0
         self._prefix_saved = 0
+        # Distributions: whole lists, or sketches in streaming mode.
+        alpha = self.sketch_alpha
+        self._samples = (
+            partial(_SketchedSamples, alpha) if self.streaming else _ExactSamples
+        )
+        self._ttft = self._samples()
+        self._ttft_by_class: Dict[int, Union[_ExactSamples, _SketchedSamples]] = {}
+        self._kv_occupancy = self._samples()
+        # Streaming-only summaries (the summary's "streaming" block).
+        self._e2e = _SketchedSamples(alpha)
+        self._step = _SketchedSamples(alpha)
+        self._kv_windows = WindowedSketch(
+            window_s=1e-9, max_windows=64, alpha=alpha
+        )
+        self._attribution = SpaceSavingTopK(16)
 
     # ------------------------------------------------------------------
     # Recording
@@ -614,31 +715,30 @@ class EngineTelemetry:
         """Record one engine step; returns its index in ``steps`` (the
         id the scheduler stamps on the step's phase spans, closing the
         span→telemetry causal join the critical-path analysis uses)."""
+        index = self._steps_n
+        self._steps_n += 1
+        self._active_total += int(active)
+        self._stall_total += float(stall_s)
+        occupancy = float(kv_occupancy)
+        if occupancy > self._kv_peak_occ:
+            self._kv_peak_occ = occupancy
+        self._kv_occupancy.add(occupancy)
+        blocks = int(kv_blocks)
+        if blocks > self._kv_peak_blocks:
+            self._kv_peak_blocks = blocks
+        for _, chunk_len in prefill_chunks:
+            self._prefill_priced += int(chunk_len)
+        self._m_steps.labels(model).inc()
+        if stall_s > 0.0:
+            self._m_stall.labels().inc(stall_s)
         if self.streaming:
-            index = self._steps_n
-            self._steps_n += 1
-            self._active_total += int(active)
-            self._stall_total += float(stall_s)
-            occupancy = float(kv_occupancy)
-            if occupancy > self._kv_peak_occ:
-                self._kv_peak_occ = occupancy
-            self._kv_occ_total += occupancy
-            blocks = int(kv_blocks)
-            if blocks > self._kv_peak_blocks:
-                self._kv_peak_blocks = blocks
-            for _, chunk_len in prefill_chunks:
-                self._prefill_priced += int(chunk_len)
-            self._step_sketch.add(float(step_s))
+            self._step.add(float(step_s))
             self._kv_windows.add(t, occupancy)
-            self._m_steps.labels(model).inc()
             # Last-value only: the (t, value) gauge series would grow
             # with the step count, defeating the memory bound.
             self._m_kv_occupancy.labels().set(kv_occupancy)
             self._m_batch_active.labels().set(active)
-            if stall_s > 0.0:
-                self._m_stall.labels().inc(stall_s)
             return index
-        index = len(self.steps)
         self.steps.append(
             _StepRecord(
                 t,
@@ -653,16 +753,37 @@ class EngineTelemetry:
                 stall_s=stall_s,
             )
         )
-        self._m_steps.labels(model).inc()
         self._m_kv_occupancy.labels().set(kv_occupancy, t=t)
         self._m_batch_active.labels().set(active, t=t)
-        if stall_s > 0.0:
-            self._m_stall.labels().inc(stall_s)
         return index
 
     def record_session(self, session) -> None:
+        priority = int(session.priority)
+        self._sessions_by_class[priority] += 1
+        tokens = int(session.tokens_generated)
+        self._tokens_total += tokens
+        fin = session.finish_time
+        if fin is not None and fin > self._last_finish:
+            self._last_finish = float(fin)
+        ttft = session.ttft
+        if ttft is not None:
+            ttft = float(ttft)
+            self._ttft.add(ttft)
+            by_class = self._ttft_by_class.get(priority)
+            if by_class is None:
+                by_class = self._ttft_by_class[priority] = self._samples()
+            by_class.add(ttft)
+        tpot = session.tpot
+        if tpot is not None:
+            lanes = session.decode_len - 1
+            self._tpot_span += float(tpot) * lanes
+            self._tpot_tokens += lanes
         if self.streaming:
-            self._fold_session(session)
+            if fin is not None:
+                self._e2e.add(float(fin) - float(session.arrival_time))
+            self._attribution.add(
+                f"{session.model}/class{priority}", weight=max(1, tokens)
+            )
         else:
             self.sessions.append(session)
         self._m_sessions.labels(session.model, session.priority).inc()
@@ -670,45 +791,12 @@ class EngineTelemetry:
         if session.ttft is not None:
             self._m_ttft.observe(session.ttft, str(session.priority))
 
-    def _fold_session(self, session) -> None:
-        """Streaming-mode completion: fold, never retain the session."""
-        priority = int(session.priority)
-        self._sessions_n += 1
-        self._sessions_by_class[priority] += 1
-        tokens = int(session.tokens_generated)
-        self._tokens_total += tokens
-        fin = session.finish_time
-        if fin is not None:
-            fin = float(fin)
-            if fin > self._last_finish:
-                self._last_finish = fin
-            self._e2e_sketch.add(fin - float(session.arrival_time))
-        ttft = session.ttft
-        if ttft is not None:
-            ttft = float(ttft)
-            self._ttft_sketch.add(ttft)
-            self._ttft_total += ttft
-            self._ttft_sq_total += ttft * ttft
-            by_class = self._ttft_by_class.get(priority)
-            if by_class is None:
-                by_class = self._ttft_by_class[priority] = QuantileSketch(
-                    alpha=self.sketch_alpha
-                )
-            by_class.add(ttft)
-        tpot = session.tpot
-        if tpot is not None:
-            lanes = session.decode_len - 1
-            self._tpot_span += float(tpot) * lanes
-            self._tpot_tokens += lanes
-        self._attribution.add(
-            f"{session.model}/class{priority}", weight=max(1, tokens)
-        )
-
     def record_rejection(self, session) -> None:
-        if self.streaming:
-            self._rejected_n += 1
-            self._rejected_by_class[int(session.priority)] += 1
-        else:
+        self._reject(session)
+
+    def _reject(self, session) -> None:
+        self._rejected_by_class[int(session.priority)] += 1
+        if not self.streaming:
             self.rejected.append(session)
         self._m_rejected.labels(session.priority).inc()
 
@@ -720,13 +808,10 @@ class EngineTelemetry:
     def record_prefix(self, prompt_tokens: int, cached_tokens: int) -> None:
         """One admission's prefix-cache outcome (lookups only — an
         engine with caching disabled records nothing here)."""
-        if self.streaming:
-            self._prefix_lookups += 1
-            if cached_tokens > 0:
-                self._prefix_hits += 1
-            self._prefix_saved += int(cached_tokens)
-            return
-        self.prefix_records.append(_PrefixRecord(prompt_tokens, cached_tokens))
+        self._prefix_lookups += 1
+        if cached_tokens > 0:
+            self._prefix_hits += 1
+        self._prefix_saved += int(cached_tokens)
 
     def record_fault(self, kind: str) -> None:
         """One injected fault event applied to the engine."""
@@ -766,12 +851,7 @@ class EngineTelemetry:
         """A waiting session shed to protect higher classes under
         capacity loss; also counts as a rejection for SLO purposes."""
         self.sessions_shed += 1
-        if self.streaming:
-            self._rejected_n += 1
-            self._rejected_by_class[int(session.priority)] += 1
-        else:
-            self.rejected.append(session)
-        self._m_rejected.labels(session.priority).inc()
+        self._reject(session)
 
     def record_kv_loss(self, blocks: int) -> None:
         self.kv_blocks_lost += int(blocks)
@@ -795,40 +875,31 @@ class EngineTelemetry:
     # Reductions
     # ------------------------------------------------------------------
     def classes_seen(self) -> List[int]:
-        if self.streaming:
-            seen = set(self._sessions_by_class)
-            seen.update(self._rejected_by_class)
-            return sorted(seen)
-        seen = {s.priority for s in self.sessions}
-        seen.update(s.priority for s in self.rejected)
+        seen = set(self._sessions_by_class)
+        seen.update(self._rejected_by_class)
         return sorted(seen)
 
     def sessions_count(self) -> int:
-        return self._sessions_n if self.streaming else len(self.sessions)
+        return sum(self._sessions_by_class.values())
 
     def rejected_count(self) -> int:
-        return self._rejected_n if self.streaming else len(self.rejected)
+        return sum(self._rejected_by_class.values())
 
     def steps_count(self) -> int:
-        return self._steps_n if self.streaming else len(self.steps)
+        return self._steps_n
+
+    def _class_ttfts(self, priority: int):
+        """One class's TTFT samples (empty for a class with none)."""
+        found = self._ttft_by_class.get(int(priority))
+        return found if found is not None else self._samples()
 
     def ttfts(self, priority: Optional[int] = None) -> List[float]:
-        if self.streaming:
-            raise ValueError(
-                "streaming telemetry keeps no per-session TTFT list; "
-                "query the summary's sketched percentiles instead"
-            )
-        return [
-            s.ttft
-            for s in self.sessions
-            if s.ttft is not None
-            and (priority is None or s.priority == priority)
-        ]
+        if priority is None:
+            return self._ttft.values
+        return self._class_ttfts(priority).values
 
     def tokens_generated(self) -> int:
-        if self.streaming:
-            return self._tokens_total
-        return sum(s.tokens_generated for s in self.sessions)
+        return self._tokens_total
 
     def tokens_per_s(self, horizon_s: float) -> float:
         if horizon_s <= 0:
@@ -836,66 +907,31 @@ class EngineTelemetry:
         return self.tokens_generated() / horizon_s
 
     def makespan(self) -> float:
-        if self.streaming:
-            return self._last_finish
-        if not self.sessions:
-            return 0.0
-        return max(s.finish_time for s in self.sessions)
+        return self._last_finish
 
     def mean_tpot(self) -> float:
         """Pooled time-per-output-token after the first, across sessions."""
-        if self.streaming:
-            if not self._tpot_tokens:
-                return 0.0
-            return self._tpot_span / self._tpot_tokens
-        span = 0.0
-        tokens = 0
-        for s in self.sessions:
-            if s.tpot is None:
-                continue
-            steps = s.decode_len - 1
-            span += s.tpot * steps
-            tokens += steps
-        return span / tokens if tokens else 0.0
+        if not self._tpot_tokens:
+            return 0.0
+        return self._tpot_span / self._tpot_tokens
 
     def mean_batch_size(self) -> float:
-        if self.streaming:
-            if not self._steps_n:
-                return 0.0
-            return self._active_total / self._steps_n
-        if not self.steps:
+        if not self._steps_n:
             return 0.0
-        return sum(r.active for r in self.steps) / len(self.steps)
+        return self._active_total / self._steps_n
 
     def kv_stats(self) -> Dict[str, float]:
-        if self.streaming:
-            if not self._steps_n:
-                return {
-                    "peak_occupancy": 0.0,
-                    "mean_occupancy": 0.0,
-                    "peak_blocks": 0,
-                }
-            return {
-                "peak_occupancy": self._kv_peak_occ,
-                "mean_occupancy": self._kv_occ_total / self._steps_n,
-                "peak_blocks": self._kv_peak_blocks,
-            }
-        if not self.steps:
-            return {"peak_occupancy": 0.0, "mean_occupancy": 0.0, "peak_blocks": 0}
-        occ = [r.kv_occupancy for r in self.steps]
         return {
-            "peak_occupancy": float(max(occ)),
-            "mean_occupancy": float(np.mean(occ)),
-            "peak_blocks": max(r.kv_blocks for r in self.steps),
+            "peak_occupancy": self._kv_peak_occ,
+            "mean_occupancy": self._kv_occupancy.mean(),
+            "peak_blocks": self._kv_peak_blocks,
         }
 
     def prefill_tokens_priced(self) -> int:
         """Prompt/context tokens whose prefill GEMMs were actually
         scheduled (sum of every step's chunk lengths) — what the prefix
         cache shrinks relative to the tokens sessions *needed* resident."""
-        if self.streaming:
-            return self._prefill_priced
-        return sum(q for r in self.steps for _, q in r.prefill_chunks)
+        return self._prefill_priced
 
     def prefix_stats(self) -> Dict[str, float]:
         """Shared-prefix cache effectiveness at the token level.
@@ -906,30 +942,12 @@ class EngineTelemetry:
         ``hit_rate`` is the fraction of cache lookups that reused at
         least one token.  Engines with caching disabled report zeros.
         """
-        if self.streaming:
-            saved = self._prefix_saved
-            priced = self.prefill_tokens_priced()
-            lookups = self._prefix_lookups
-            return {
-                "lookups": lookups,
-                "hit_rate": (self._prefix_hits / lookups) if lookups else 0.0,
-                "prefill_tokens_saved": saved,
-                "prefill_tokens_priced": priced,
-                "cached_token_fraction": (
-                    saved / (saved + priced) if saved + priced else 0.0
-                ),
-            }
-        saved = sum(r.cached_tokens for r in self.prefix_records)
+        saved = self._prefix_saved
         priced = self.prefill_tokens_priced()
-        lookups = len(self.prefix_records)
+        lookups = self._prefix_lookups
         return {
             "lookups": lookups,
-            "hit_rate": (
-                sum(1 for r in self.prefix_records if r.cached_tokens > 0)
-                / lookups
-                if lookups
-                else 0.0
-            ),
+            "hit_rate": (self._prefix_hits / lookups) if lookups else 0.0,
             "prefill_tokens_saved": saved,
             "prefill_tokens_priced": priced,
             "cached_token_fraction": (
@@ -945,25 +963,11 @@ class EngineTelemetry:
         spread.  Streaming mode derives the std from exact running sums
         and the jitter from sketched percentiles (within ``alpha``).
         """
-        if self.streaming:
-            n = self._ttft_sketch.count
-            if not n:
-                return {"std_s": 0.0, "p99_minus_p50_s": 0.0}
-            mean = self._ttft_total / n
-            variance = max(0.0, self._ttft_sq_total / n - mean * mean)
-            return {
-                "std_s": math.sqrt(variance),
-                "p99_minus_p50_s": (
-                    self._ttft_sketch.percentile(99.0)
-                    - self._ttft_sketch.percentile(50.0)
-                ),
-            }
-        ttfts = self.ttfts()
-        if not ttfts:
-            return {"std_s": 0.0, "p99_minus_p50_s": 0.0}
         return {
-            "std_s": float(np.std(np.asarray(ttfts, dtype=np.float64))),
-            "p99_minus_p50_s": percentile(ttfts, 99) - percentile(ttfts, 50),
+            "std_s": self._ttft.std(),
+            "p99_minus_p50_s": (
+                self._ttft.percentile(99) - self._ttft.percentile(50)
+            ),
         }
 
     def ttft_slo_attainment(
@@ -979,36 +983,20 @@ class EngineTelemetry:
         TTFT is within relative ``alpha`` of ``slo_s`` itself can be
         counted on the wrong side.
         """
-        if self.streaming:
-            if priority is None:
-                sketch = self._ttft_sketch
-                shed = self._rejected_n
-            else:
-                sketch = self._ttft_by_class.get(int(priority))
-                shed = self._rejected_by_class.get(int(priority), 0)
-            n = sketch.count if sketch is not None else 0
-            total = n + shed
-            if total == 0:
-                return 1.0
-            met = sketch.cdf(slo_s) * n if n else 0.0
-            return met / total
-        ttfts = self.ttfts(priority=priority)
-        shed = sum(
-            1
-            for s in self.rejected
-            if priority is None or s.priority == priority
-        )
-        total = len(ttfts) + shed
+        if priority is None:
+            samples = self._ttft
+            shed = self.rejected_count()
+        else:
+            samples = self._class_ttfts(priority)
+            shed = self._rejected_by_class.get(int(priority), 0)
+        total = samples.count + shed
         if total == 0:
             return 1.0
-        met = sum(1 for v in ttfts if v <= slo_s + 1e-15)
-        return met / total
+        return samples.met(slo_s) / total
 
     def stall_time(self) -> float:
         """Total wall time lost to degraded (slow) workers."""
-        if self.streaming:
-            return self._stall_total
-        return float(sum(r.stall_s for r in self.steps))
+        return self._stall_total
 
     def unavailability_windows(self) -> List[Dict[str, float]]:
         """Per-worker fail→dead detection windows from the transitions."""
@@ -1080,25 +1068,6 @@ class EngineTelemetry:
         }
 
     # ------------------------------------------------------------------
-    def _sketched_latency_summary(self, sketch: QuantileSketch) -> Dict[str, float]:
-        """The :func:`summarize_latencies` shape, from a sketch (p50/p95/
-        p99 within ``alpha``; mean and max exact)."""
-        if not sketch.count:
-            return {
-                "p50_s": 0.0,
-                "p95_s": 0.0,
-                "p99_s": 0.0,
-                "mean_s": 0.0,
-                "max_s": 0.0,
-            }
-        return {
-            "p50_s": sketch.percentile(50.0),
-            "p95_s": sketch.percentile(95.0),
-            "p99_s": sketch.percentile(99.0),
-            "mean_s": sketch.sum / sketch.count,
-            "max_s": sketch.max,
-        }
-
     def summary(
         self, horizon_s: float, ttft_slo_s: Optional[float] = None
     ) -> Dict[str, object]:
@@ -1108,11 +1077,7 @@ class EngineTelemetry:
             "rejected": self.rejected_count(),
             "tokens": self.tokens_generated(),
             "tokens_per_s": self.tokens_per_s(horizon_s),
-            "ttft": (
-                self._sketched_latency_summary(self._ttft_sketch)
-                if self.streaming
-                else summarize_latencies(self.ttfts())
-            ),
+            "ttft": self._ttft.summary(),
             "ttft_jitter": self.ttft_jitter(),
             "tpot_s": self.mean_tpot(),
             "steps": self.steps_count(),
@@ -1124,15 +1089,13 @@ class EngineTelemetry:
         if self.streaming:
             out["streaming"] = {
                 "alpha": self.sketch_alpha,
-                "e2e": self._sketched_latency_summary(self._e2e_sketch),
-                "step": self._sketched_latency_summary(self._step_sketch),
-                "sketch_bytes": (
-                    self._ttft_sketch.byte_size()
-                    + self._e2e_sketch.byte_size()
-                    + self._step_sketch.byte_size()
-                    + sum(
-                        self._ttft_by_class[p].byte_size()
-                        for p in self._ttft_by_class
+                "e2e": self._e2e.summary(),
+                "step": self._step.summary(),
+                "sketch_bytes": sum(
+                    samples.sketch.byte_size()
+                    for samples in (
+                        self._ttft, self._e2e, self._step,
+                        *self._ttft_by_class.values(),
                     )
                 ),
                 "attribution_topk": self._attribution.to_dict(),
@@ -1158,22 +1121,10 @@ class EngineTelemetry:
             if classes != [0]:
                 out["per_class"] = {
                     str(p): {
-                        "sessions": (
-                            self._sessions_by_class.get(p, 0)
-                            if self.streaming
-                            else sum(
-                                1 for s in self.sessions if s.priority == p
-                            )
-                        ),
-                        "rejected": (
-                            self._rejected_by_class.get(p, 0)
-                            if self.streaming
-                            else sum(
-                                1 for s in self.rejected if s.priority == p
-                            )
-                        ),
+                        "sessions": self._sessions_by_class.get(p, 0),
+                        "rejected": self._rejected_by_class.get(p, 0),
                         "preemptions": self.preemptions_by_class.get(p, 0),
-                        "ttft_p99_s": self._class_ttft_p99(p),
+                        "ttft_p99_s": self._class_ttfts(p).percentile(99),
                         "ttft_slo_attainment": self.ttft_slo_attainment(
                             ttft_slo_s, priority=p
                         ),
@@ -1181,11 +1132,3 @@ class EngineTelemetry:
                     for p in classes
                 }
         return out
-
-    def _class_ttft_p99(self, priority: int) -> float:
-        if self.streaming:
-            sketch = self._ttft_by_class.get(int(priority))
-            if sketch is None or not sketch.count:
-                return 0.0
-            return sketch.percentile(99.0)
-        return percentile(self.ttfts(priority=priority), 99)

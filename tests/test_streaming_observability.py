@@ -1,5 +1,6 @@
 """Streaming aggregators, tail-based sampling, O(1) telemetry mode."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -13,13 +14,16 @@ from repro.serve import (
     EngineConfig,
     ExecutorPool,
     FaultPlan,
+    HealthPolicy,
     Observability,
     TailSampler,
     TailSamplingPolicy,
     TokenServingEngine,
+    decode_scenario,
     fleet_rollup,
     parse_prometheus_text,
     report_to_markdown,
+    shared_prefix_scenario,
 )
 from repro.serve.observability import (
     ByteBudgetRing,
@@ -44,7 +48,7 @@ def mlp(seed=0, dim=12, hidden=24):
 
 
 def make_engine(observability=None, replicas=3, blocks=256, block_tokens=4,
-                **config_kw):
+                health=None, **config_kw):
     kv = KVCacheSpec(num_layers=2, num_heads=2, head_dim=4)
     prof = DecodeModelProfile(
         "m0", mlp(), kv=kv, replicas=replicas, ttft_slo_s=1e-5
@@ -54,7 +58,7 @@ def make_engine(observability=None, replicas=3, blocks=256, block_tokens=4,
     )
     config = EngineConfig(block_tokens=block_tokens, kv_fraction=1.0, **config_kw)
     return TokenServingEngine(
-        ExecutorPool(replicas), prof, config, memory=memory,
+        ExecutorPool(replicas), prof, config, memory=memory, health=health,
         observability=observability,
     )
 
@@ -356,13 +360,39 @@ class TestStreamingTelemetry:
 
     def test_counts_match_exact_mode(self):
         exact, stream, _ = self._pair()
+        self._assert_counts_match(exact, stream)
+        exact = golden_prefix_storm_run(False)[2]
+        stream = golden_prefix_storm_run(True)[2]
+        assert exact.rejected_count() and exact.prefix_stats()["lookups"]
+        assert exact.stall_time() > 0.0
+        self._assert_counts_match(exact, stream)
+
+    @staticmethod
+    def _assert_counts_match(exact, stream):
         assert stream.streaming
         assert not stream.sessions and not stream.steps
+        assert not stream.rejected
         assert stream.sessions_count() == len(exact.sessions)
+        assert stream.rejected_count() == len(exact.rejected)
         assert stream.steps_count() == len(exact.steps)
         assert stream.tokens_generated() == exact.tokens_generated()
         assert stream.makespan() == exact.makespan()
         assert stream.mean_batch_size() == exact.mean_batch_size()
+        assert stream.mean_tpot() == exact.mean_tpot()
+        assert stream.prefill_tokens_priced() == exact.prefill_tokens_priced()
+        assert stream.prefix_stats() == exact.prefix_stats()
+        assert stream.stall_time() == exact.stall_time()
+        assert stream.classes_seen() == exact.classes_seen()
+        # Mean occupancy is left out: exact mode averages the per-step
+        # list with np.mean (pairwise), streaming keeps a running sum.
+        for key in ("peak_occupancy", "peak_blocks"):
+            assert stream.kv_stats()[key] == exact.kv_stats()[key]
+        s_classes = stream.summary(stream.makespan(), 1e-5).get("per_class")
+        e_classes = exact.summary(exact.makespan(), 1e-5).get("per_class")
+        assert (s_classes is None) == (e_classes is None)
+        for p, row in (e_classes or {}).items():
+            for key in ("sessions", "rejected", "preemptions"):
+                assert s_classes[p][key] == row[key]
         with pytest.raises(ValueError):
             stream.ttfts()
 
@@ -409,3 +439,101 @@ class TestStreamingTelemetry:
             sort_keys=True,
         )
         assert one == two
+
+
+# ----------------------------------------------------------------------
+# Golden summaries: both telemetry modes, pinned by digest
+# ----------------------------------------------------------------------
+def golden_decode_run(streaming):
+    """Two-class analytic decode; many steps, so the exact-mode mean KV
+    occupancy (``np.mean``, pairwise) and a running sum can differ."""
+    scenario = decode_scenario(
+        "chat", rate=1.5e9, duration=3e-7, prompt_median=12,
+        prompt_sigma=0.6, decode_mean=8, class_mix={0: 4, 2: 1},
+        prompt_max=48, decode_max=48, seed=0,
+    )
+    profile = DecodeModelProfile(
+        "chat", mlp(dim=16, hidden=32),
+        kv=KVCacheSpec(num_layers=2, num_heads=2, head_dim=4),
+        replicas=2, ttft_slo_s=1e-5,
+    )
+    engine = TokenServingEngine(
+        ExecutorPool(2), profile,
+        EngineConfig(
+            max_batch_size=8, block_tokens=16, kv_fraction=0.1, execute=False
+        ),
+        observability=Observability(tracing=False, streaming=streaming),
+    )
+    return scenario, engine, engine.run(scenario, seed=0)
+
+
+def golden_prefix_storm_run(streaming):
+    """Three-class shared-prefix traffic on 3 replicas with a bounded
+    waiting queue, a replica kill, a slow worker and an RRNS/KV-loss
+    burst: shed, recovered, stalled, per-class and prefix fields are
+    all non-trivial."""
+    duration = 1e-6
+    scenario = shared_prefix_scenario(
+        "m0", rate=2e7, duration=duration, prefix_len=16, suffix_median=4,
+        decode_mean=6, class_mix={0: 2, 1: 1, 2: 1}, suffix_max=16,
+        decode_max=24, seed=3,
+    )
+    plan = FaultPlan.replica_kills([(0.3 * duration, 0)]).merge(
+        FaultPlan.slow_worker(
+            0.1 * duration, 1, factor=2.0, duration_s=0.2 * duration
+        ),
+        FaultPlan.transient_storm(
+            start=0.35 * duration, stop=duration, rate_per_s=3e7,
+            p_uncorrectable=0.3, seed=7, kv_loss_share=0.3,
+        ),
+    )
+    engine = make_engine(
+        observability=Observability(tracing=False, streaming=streaming),
+        blocks=24, max_batch_size=4, execute=False, recovery=True,
+        max_waiting=8,
+        health=HealthPolicy(suspect_after_s=1e-8, dead_after_s=3e-8),
+    )
+    return scenario, engine, engine.run(scenario, seed=0, faults=plan)
+
+
+def summary_digest(run, streaming):
+    scenario, engine, telemetry = run(streaming)
+    doc = {
+        "summary": telemetry.summary(telemetry.makespan(), ttft_slo_s=1e-5),
+        "report": engine.report(scenario),
+    }
+    return hashlib.sha256(
+        json.dumps(doc, sort_keys=True).encode()
+    ).hexdigest()
+
+
+class TestGoldenTelemetrySummaries:
+    """Exact and streaming ``summary()`` plus ``engine.report()`` stay
+    byte-identical to pinned digests: the record-keeping and the
+    bounded-memory mode each reproduce one recorded document."""
+
+    @pytest.mark.parametrize(
+        "run, streaming, digest",
+        [
+            (
+                golden_decode_run, False,
+                "86942dd35beb6b88b03c74278fad7f6cf1b53bb7374ed1e35ddd86d234b86f5a",
+            ),
+            (
+                golden_decode_run, True,
+                "499b54d4416a0aa313070057db36ed7b2febf5a063498c4511f5a835b4387f33",
+            ),
+            (
+                golden_prefix_storm_run, False,
+                "790a355f6714ffe41217259218b3c9110b9b94869ae505da72a9e624b073bda1",
+            ),
+            (
+                golden_prefix_storm_run, True,
+                "9d018b15b1109c11b3a1928d735a9b6dc85761b82f9596ef310830a3504b6611",
+            ),
+        ],
+        ids=["decode-exact", "decode-streaming", "storm-exact",
+             "storm-streaming"],
+    )
+    def test_digest(self, run, streaming, digest):
+        assert summary_digest(run, streaming) == digest
