@@ -29,6 +29,8 @@ __all__ = [
     "encode_groups",
     "decode_groups",
     "quantize_tensor",
+    "POW2",
+    "POW2_MIN_EXP",
 ]
 
 _ROUNDING_MODES = ("truncate", "nearest", "stochastic")
@@ -103,6 +105,58 @@ class BFPBlock:
         ]
 
 
+POW2_MIN_EXP = -1075
+
+
+def _pow2_table() -> np.ndarray:
+    table = np.append(np.ldexp(1.0, np.arange(POW2_MIN_EXP, 1024)), np.inf)
+    table.setflags(write=False)
+    return table
+
+
+# 2^k for every k in [POW2_MIN_EXP, 1024]: ``POW2.take(k - POW2_MIN_EXP,
+# mode="clip")`` equals ``np.ldexp(1.0, k)`` for any integer k, saturating
+# to 0.0 at or below 2^-1075 and to inf from 2^1024 up, with neither
+# ldexp's per-element cost nor its overflow warning.
+POW2 = _pow2_table()
+
+
+def _shared_exponents(grouped: np.ndarray) -> np.ndarray:
+    """Per-group shared exponents along the last axis (int64).
+
+    ``frexp`` of the largest magnitude, ``|v| = frac * 2^e`` with
+    ``frac in [0.5, 1)``, so every mantissa satisfies ``|m| <= 2^bm``;
+    ``frexp(0)`` gives 0, the exponent of an all-zero group.
+    """
+    return np.frexp(np.abs(grouped).max(axis=-1))[1].astype(np.int64)
+
+
+def _scale_pow2(values: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """``values * 2^shift`` with one shift per group (the last axis).
+
+    Multiplying by a tabled power of two is exact and far cheaper than
+    ``ldexp`` on every value.  Only where ``2^shift`` itself is no finite
+    nonzero double (shift above 1023 or below -1074) -- encoding or
+    decoding a group whose max |v| lies below ~2^(bm - 1023) -- does the
+    group take ``ldexp`` on its values, whose result is tame.
+    """
+    index = shift - POW2_MIN_EXP
+    if shift.size and (shift.max() > 1023 or shift.min() < -1074):
+        edge = (shift > 1023) | (shift < -1074)
+        # Scale edge groups by 2^0 here; ldexp overwrites them below.
+        scaled = values * POW2.take(np.where(edge, -POW2_MIN_EXP, index))[..., None]
+        scaled[edge] = np.ldexp(values[edge], shift[edge][:, None])
+        return scaled
+    return values * POW2.take(index)[..., None]
+
+
+def _clamp(mant: np.ndarray, limit: float) -> np.ndarray:
+    """Clip fresh mantissae to ``[-limit, limit]`` in place (NaN stays
+    NaN, as with ``np.clip``, minus its per-call wrapper cost)."""
+    np.maximum(mant, -limit, out=mant)
+    return np.minimum(mant, limit, out=mant)
+
+
 def _drop_bits(scaled: np.ndarray, config: BFPConfig, rng: Optional[np.random.Generator]) -> np.ndarray:
     """Convert real-valued ``value / 2^(e_shared - bm)`` to integer mantissae."""
     if config.rounding == "truncate":
@@ -135,22 +189,12 @@ def encode_groups(
     padded[:n] = vec
     grouped = padded.reshape(num_groups, g)
 
-    absmax = np.max(np.abs(grouped), axis=1)
-    # frexp: |v| = frac * 2^exp with frac in [0.5, 1) -> exponent = exp.
-    _, exps = np.frexp(absmax)
-    exps = exps.astype(np.int64)
-    exps[absmax == 0] = 0
-
-    # Scale each group by 2^(bm - e) via ldexp on the values themselves:
-    # forming the scale factor first would overflow to inf for groups in
-    # the subnormal range (bm - e > 1023) even though the product is tame.
-    shift = (config.bm - exps)[:, None].astype(np.int64)
-    mant = _drop_bits(np.ldexp(grouped, shift), config, rng)
+    exps = _shared_exponents(grouped)
+    mant = _drop_bits(_scale_pow2(grouped, config.bm - exps), config, rng)
     # Stochastic/nearest rounding of the max-magnitude element may hit
     # 2^bm; clamp to stay within bm+1 signed bits.
     limit = float(config.mantissa_range)
-    mant = np.clip(mant, -limit, limit).astype(np.int64)
-    return BFPBlock(mant, exps, config, n)
+    return BFPBlock(_clamp(mant, limit).astype(np.int64), exps, config, n)
 
 
 def decode_groups(
@@ -159,7 +203,7 @@ def decode_groups(
     """Inverse of :func:`encode_groups` (returns the padded flat vector)."""
     mant = np.asarray(mantissae, dtype=np.float64)
     exps = np.asarray(exponents, dtype=np.int64)
-    return (mant * np.ldexp(1.0, exps - config.bm)[:, None]).ravel()
+    return _scale_pow2(mant, exps - config.bm).ravel()
 
 
 def quantize_tensor(
@@ -184,14 +228,9 @@ def quantize_tensor(
     padded[..., :length] = moved
     grouped = padded.reshape(lead_shape + (num_groups, g))
 
-    absmax = np.max(np.abs(grouped), axis=-1)
-    _, exps = np.frexp(absmax)
-    exps = exps.astype(np.int64)
-    exps[absmax == 0] = 0
-    scale = np.ldexp(1.0, config.bm - exps)[..., None]
-    mant = _drop_bits(grouped * scale, config, rng)
+    shift = config.bm - _shared_exponents(grouped)
+    mant = _drop_bits(_scale_pow2(grouped, shift), config, rng)
     limit = float(config.mantissa_range)
-    mant = np.clip(mant, -limit, limit)
-    deq = mant / scale
+    deq = _scale_pow2(_clamp(mant, limit), -shift)
     out = deq.reshape(lead_shape + (num_groups * g,))[..., :length]
     return np.moveaxis(out, -1, axis)

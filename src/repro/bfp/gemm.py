@@ -24,15 +24,33 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..determinism import resolve_rng
-from .format import BFPConfig, quantize_tensor
+from .format import (
+    BFPConfig,
+    _clamp,
+    _drop_bits,
+    _scale_pow2,
+    _shared_exponents,
+    quantize_tensor,
+)
 
 __all__ = [
     "bfp_encode_matrix",
     "bfp_matmul_exact",
     "bfp_matmul_fast",
     "max_dot_magnitude",
+    "require_finite",
 ]
+
+
+def require_finite(values: np.ndarray, name: str) -> None:
+    """Raise ``ValueError`` naming ``name`` when it holds NaN or ±inf.
+
+    BFP has no encoding for non-finite values: ±inf would silently clamp
+    to the largest mantissa and NaN would surface later as an unrelated
+    range error, so GEMM entry points reject them up front.
+    """
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} must be finite: found NaN or inf")
 
 
 def max_dot_magnitude(config: BFPConfig) -> int:
@@ -63,27 +81,17 @@ def bfp_encode_matrix(
     rows, cols = mat.shape
     g = config.g
     num_groups = max(1, -(-cols // g))
-    padded = np.zeros((rows, num_groups * g), dtype=np.float64)
-    padded[:, :cols] = mat
-    grouped = padded.reshape(rows, num_groups, g)
-
-    absmax = np.max(np.abs(grouped), axis=-1)
-    _, exps = np.frexp(absmax)
-    exps = exps.astype(np.int64)
-    exps[absmax == 0] = 0
-    scale = np.ldexp(1.0, config.bm - exps)[..., None]
-    if config.rounding == "truncate":
-        mant = np.trunc(grouped * scale)
-    elif config.rounding == "nearest":
-        mant = np.rint(grouped * scale)
+    if cols == num_groups * g:
+        grouped = mat.reshape(rows, num_groups, g)
     else:
-        rng = resolve_rng(rng)
-        scaled = grouped * scale
-        floor = np.floor(scaled)
-        mant = floor + (rng.random(scaled.shape) < (scaled - floor))
+        padded = np.zeros((rows, num_groups * g), dtype=np.float64)
+        padded[:, :cols] = mat
+        grouped = padded.reshape(rows, num_groups, g)
+
+    exps = _shared_exponents(grouped)
+    mant = _drop_bits(_scale_pow2(grouped, config.bm - exps), config, rng)
     limit = float(config.mantissa_range)
-    mant = np.clip(mant, -limit, limit).astype(np.int64)
-    return mant, exps
+    return _clamp(mant, limit).astype(np.int64), exps
 
 
 def bfp_matmul_exact(
@@ -104,6 +112,8 @@ def bfp_matmul_exact(
     x = np.asarray(x, dtype=np.float64)
     if w.ndim != 2 or x.ndim != 2 or w.shape[1] != x.shape[0]:
         raise ValueError(f"bad GEMM shapes {w.shape} @ {x.shape}")
+    require_finite(w, "weights")
+    require_finite(x, "inputs")
     w_mant, w_exp = bfp_encode_matrix(w, config)
     # x groups run along K: encode columns by transposing.
     x_mant_t, x_exp_t = bfp_encode_matrix(x.T, config)

@@ -8,27 +8,44 @@ whole GEMM at once.
 1.  tile the FP operands to the array geometry,
 2.  convert tiles to BFP (shared exponents, ``bm``-bit mantissae) — one
     encode per operand (Fig. 2 step 2),
-3.  forward-convert *all* signed mantissae to RNS residues in one call
-    (step 3),
+3.  forward-convert *all* signed mantissae to RNS residues at once
+    (step 3).  Weights go through ``forward_convert_signed`` when they
+    are programmed.  Inputs on the noiseless path are **table-driven**: a
+    mantissa takes one of only ``2L+1`` values (``L = 2^bm - 1``), so each
+    core builds a ``(2L+1, n)`` table of CRT-weighted residues once, with
+    ``forward_convert_signed`` itself, and one ``take`` converts the whole
+    batch; a mantissa outside ``[-L, L]`` raises ``OverflowError``,
 4.  pack the weight residues into the ``(n, G, T, v, g)`` tile tensor —
     this is :meth:`PhotonicRnsTensorCore.program`, and the result can be
     cached so weight-static workloads (inference, multi-input streaming)
     re-stream activations without re-encoding weights (steps 4),
-5.  execute every modular MVM of every tile as a single batched phase
-    computation on the photonic device model
-    (:meth:`~repro.photonic.mdpu.RnsMMVMU.mvm_grouped` — the noiseless
-    path computes the phase *sums* directly as chunked integer matmuls
-    and wraps once; the noise path perturbs the physical phases with the
-    summed per-digit variance) (step 5),
-6.  digitise via the I/Q detectors' ADCs — one vectorised detection over
-    the full ``(n, G, T, C, v)`` output (step 6),
-7.  reverse-convert all residues to signed integers with a single CRT
-    call (step 7),
-8.  rebuild FP values with the exponent path and accumulate partial
-    outputs in FP32 fashion (float64 here), group by group, in the same
-    order as the BFP reference so float accumulation is bit-identical
-    (steps 8-9),
+5.  execute every modular MVM of every tile as a single batched
+    computation (step 5).  The noiseless path folds the CRT weights into
+    the gathered input residues, so the modular GEMMs of all ``n``
+    channels *and* the CRT accumulation become one batched float64
+    matmul of exact integers against the weights' ``(G, g*n, R)``
+    layout.  The noise path runs the photonic device model
+    (:meth:`~repro.photonic.mdpu.RnsMMVMU.mvm_grouped`), which perturbs
+    the physical phases with the summed per-digit variance,
+6.  digitise via the I/Q detectors' ADCs — on the noise path, one
+    vectorised detection over the full ``(n, G, T, C, v)`` output
+    (step 6),
+7.  reverse-convert all residues to signed integers at once (step 7):
+    on the noiseless path a single floor-division wrap maps every sum
+    into the signed range ``[-ψ, M-1-ψ]``; the noise path makes one CRT
+    call,
+8.  rebuild FP values with a **one-shot exponent path** (steps 8-9).  The
+    weights' shared exponents are stored transposed at programming
+    time; one read of the ``POW2`` table (equal to ``np.ldexp(1.0, k)``,
+    saturation to 0 and inf included) gives every ``2^(e_x + e_w - 2bm)``
+    scale, one multiply applies them, and the groups accumulate in
+    ascending order from zeros — the float64 operation order of the BFP
+    reference, so the result is bit-identical (``-0.0`` and subnormal
+    partials included),
 9.  (nonlinearities stay outside the core, as in the paper).
+
+Operands holding NaN or ±inf are rejected with a ``ValueError`` naming
+the operand: weights once when they are programmed, inputs on every call.
 
 In the noiseless configuration the result is **bit-exact** against
 :func:`repro.bfp.bfp_matmul_exact` — this is the correctness property that
@@ -43,10 +60,10 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..bfp.format import BFPConfig
-from ..bfp.gemm import bfp_encode_matrix
+from ..bfp.format import POW2, POW2_MIN_EXP, BFPConfig
+from ..bfp.gemm import bfp_encode_matrix, require_finite
 from ..photonic.mdpu import NoiseModel, RnsMMVMU
-from ..rns.conversion import forward_convert_signed, to_signed
+from ..rns.conversion import crt_reverse, forward_convert_signed, to_signed
 from ..rns.moduli import ModuliSet, choose_k_min, special_moduli_set
 
 __all__ = ["CoreConfig", "PhotonicRnsTensorCore", "ProgrammedWeights"]
@@ -77,23 +94,24 @@ class ProgrammedWeights:
     """A weight matrix encoded, converted and laid out for the array.
 
     Holds everything the weight-static fast path needs: the BFP shared
-    exponents, the RNS residues packed as ``(n, G, T, v, g)`` tiles
-    (``G`` K-groups, ``T`` row tiles of ``v`` rows), and a copy of the
-    source matrix so callers can cheaply validate cache entries.
+    exponents (stored transposed, ``(G, R)``, the layout the exponent path
+    reads), the RNS residues packed as ``(n, G, T, v, g)`` tiles (``G``
+    K-groups, ``T`` row tiles of ``v`` rows), and a copy of the source
+    matrix so callers can cheaply validate cache entries.
 
-    ``fused`` additionally holds the tiles repacked as a
-    ``(G, n*g, T*v)`` float64 tensor for the noiseless fast path, where
-    the modular GEMMs of all ``n`` channels *and* the CRT accumulation
-    collapse into a single batched matmul (see ``_execute``); ``None``
-    when the core is noisy or the reduction would leave float64's exact
-    integer range.
+    ``fused`` additionally holds the residues repacked as a
+    ``(G, g*n, R)`` float64 tensor (digit-major, channel-minor) for the
+    noiseless fast path, where the modular GEMMs of all ``n`` channels
+    *and* the CRT accumulation collapse into a single batched matmul (see
+    ``_execute``); ``None`` when the core is noisy or the reduction would
+    leave float64's exact integer range.
     """
 
     shape: Tuple[int, int]
     residues: np.ndarray  # (n, G, T, v, g) int64
-    exponents: np.ndarray  # (R, G) int64
+    exponents: np.ndarray  # (G, R) int64
     source: np.ndarray  # (R, K) float64 copy for cache validation
-    fused: Optional[np.ndarray] = None  # (G, n*g, T*v) float64
+    fused: Optional[np.ndarray] = None  # (G, g*n, R) float64
 
     @property
     def num_groups(self) -> int:
@@ -139,10 +157,11 @@ class PhotonicRnsTensorCore:
         )
         self._tiles_programmed = 0
         self._mvm_cycles = 0
+        self._bfp = self.config.bfp()
         # Noiseless fused path: CRT weights folded into the input residues
         # turn the n modular GEMMs + CRT into one batched matmul, valid
-        # while the worst-case accumulation Σ_i g (m_i-1)^2 w_i stays an
-        # exact float64 integer.
+        # while the worst-case accumulation Σ_i g (m_i-1)^2 w_i, offset by
+        # ψ for the signed wrap, stays an exact float64 integer.
         mi, ti = self.mset.crt_weights
         big_m = self.mset.dynamic_range
         crt_w = [(mi[i] * ti[i]) % big_m for i in range(self.mset.n)]
@@ -150,8 +169,19 @@ class PhotonicRnsTensorCore:
             self.config.g * (m - 1) * (m - 1) * w
             for m, w in zip(self.mset.moduli, crt_w)
         )
-        self._fused_ok = bound < (1 << 53)
-        self._crt_col = np.array(crt_w, dtype=np.int64).reshape(-1, 1, 1, 1)
+        self._fused_ok = bound + self.mset.psi < (1 << 53)
+        # Table-driven forward conversion: a mantissa takes one of the
+        # 2L+1 values in [-L, L], so row ``L + m`` holds the CRT-weighted
+        # residues of ``m`` and one ``take`` converts a whole batch.
+        self._levels = self._bfp.mantissa_range  # L
+        levels = np.arange(-self._levels, self._levels + 1)
+        self._crt_levels = (
+            forward_convert_signed(levels, self.mset).T * np.array(crt_w)
+        ).astype(np.float64)  # (2L+1, n)
+        self._big_m = float(big_m)
+        self._psi = float(self.mset.psi)
+        # Steps 8-9 read 2^(e_x + e_w - 2bm) from the POW2 table.
+        self._exp_offset = -2 * self.config.bm - POW2_MIN_EXP
 
     # ------------------------------------------------------------------
     # Stats (consumed by examples / tests)
@@ -182,9 +212,10 @@ class PhotonicRnsTensorCore:
         w = np.asarray(w, dtype=np.float64)
         if w.ndim != 2:
             raise ValueError(f"weights must be 2-D, got shape {w.shape}")
+        require_finite(w, "weights")
         cfg = self.config
         r = w.shape[0]
-        w_mant, w_exp = bfp_encode_matrix(w, cfg.bfp())  # (R, G, g), (R, G)
+        w_mant, w_exp = bfp_encode_matrix(w, self._bfp)  # (R, G, g), (R, G)
         num_groups = w_mant.shape[1]
         row_tiles = -(-r // cfg.v)
         w_res = forward_convert_signed(w_mant, self.mset)  # (n, R, G, g)
@@ -200,13 +231,14 @@ class PhotonicRnsTensorCore:
         self._tiles_programmed += num_groups * row_tiles
         fused = None
         if self._fused_ok and self.engine.is_ideal:
-            # (n, G, T, v, g) -> (G, n*g, T*v): channel and digit axes
-            # merge into one reduction axis for the fused CRT matmul.
-            fused = tiles.transpose(1, 0, 4, 2, 3).astype(
-                np.float64, order="C"
-            ).reshape(num_groups, self.mset.n * cfg.g, row_tiles * cfg.v)
+            # (n, R, G, g) -> (G, g*n, R): digit and channel axes merge
+            # into one reduction axis, in the order the input table
+            # gather produces them.
+            fused = np.ascontiguousarray(
+                w_res.transpose(2, 3, 0, 1), dtype=np.float64
+            ).reshape(num_groups, cfg.g * self.mset.n, r)
         return ProgrammedWeights(
-            (r, w.shape[1]), tiles, w_exp, w.copy(), fused
+            (r, w.shape[1]), tiles, np.ascontiguousarray(w_exp.T), w.copy(), fused
         )
 
     # ------------------------------------------------------------------
@@ -251,6 +283,7 @@ class PhotonicRnsTensorCore:
                 raise ValueError(f"bad GEMM shapes {w.shape} @ {x.shape}")
         if not xs:
             return []
+        require_finite(w, "weights")
         r = w.shape[0]
         if r == 0 or all(x.shape[1] == 0 for x in xs):
             return [np.zeros((r, x.shape[1])) for x in xs]
@@ -267,6 +300,7 @@ class PhotonicRnsTensorCore:
     # The one-pass batched execution (Fig. 2 steps 2-9 for the inputs)
     # ------------------------------------------------------------------
     def _execute(self, pw: ProgrammedWeights, x: np.ndarray) -> np.ndarray:
+        require_finite(x, "inputs")
         cfg = self.config
         r, _ = pw.shape
         c = x.shape[1]
@@ -278,12 +312,11 @@ class PhotonicRnsTensorCore:
             return np.zeros((r, c))
         num_groups, row_tiles = pw.num_groups, pw.row_tiles
 
-        # Steps 2-3: encode and forward-convert the whole input batch once.
-        x_mant, x_exp = bfp_encode_matrix(x.T, cfg.bfp())  # (C, G, g), (C, G)
-        x_res = forward_convert_signed(x_mant, self.mset)  # (n, C, G, g)
+        # Step 2: encode the whole input batch once.
+        x_mant, x_exp = bfp_encode_matrix(x.T, self._bfp)  # (C, G, g), (C, G)
 
-        # Steps 5-7: every modular MVM of every tile in one batched pass,
-        # then one reverse conversion over the full output tensor.
+        # Steps 3, 5-7: every modular MVM of every tile in one batched
+        # pass, then one reverse conversion over the full output tensor.
         self._mvm_cycles += num_groups * row_tiles * c
         if pw.fused is not None and self.engine.is_ideal:
             # Noiseless fused path.  ``Σ_i r_i M_i T_i ≡ X (mod M)`` holds
@@ -291,44 +324,46 @@ class PhotonicRnsTensorCore:
             # residues by their CRT weight and concatenating the channel
             # axes turns the n modular GEMMs + CRT accumulation into one
             # batched matmul; a single final mod performs every 2π wrap.
-            xw = (x_res * self._crt_col).transpose(2, 1, 0, 3)  # (G, C, n, g)
-            xt = xw.astype(np.float64, order="C").reshape(
-                num_groups, c, self.mset.n * cfg.g
-            )
-            acc = np.matmul(xt, pw.fused)  # (G, C, T*v), exact integers
-            big_m = float(self.mset.dynamic_range)
-            q = acc / big_m
+            # The weighted residues come from the per-core level table.
+            level = x_mant + self._levels
+            if level.view(np.uint64).max() > 2 * self._levels:
+                raise OverflowError(
+                    f"BFP mantissae outside [{-self._levels}, {self._levels}]"
+                )
+            xt = self._crt_levels.take(level, axis=0, mode="clip")  # (C, G, g, n)
+            acc = np.matmul(
+                xt.reshape(c, num_groups, -1).transpose(1, 0, 2), pw.fused
+            )  # (G, C, R), exact integers
+            # Every sum is an exact integer below 2^53.  Flooring
+            # (acc + ψ) / M lands each one straight in the signed range
+            # [-ψ, M-1-ψ]; the correctly-rounded division can only round
+            # *up* to the next integer, which leaves a value below -ψ, so
+            # one fix-up adds M back there.
+            big_m = self._big_m
+            q = acc + self._psi
+            q /= big_m
             np.floor(q, out=q)
-            acc -= q * big_m
-            # Correctly-rounded division can land one unit high at the
-            # boundary; fix up, then apply the signed range mapping.
-            np.add(acc, big_m, out=acc, where=acc < 0)
-            hi = float(self.mset.dynamic_range - 1 - self.mset.psi)
-            np.subtract(acc, big_m, out=acc, where=acc > hi)
-            ints = acc  # (G, C, T*v) signed float64
+            q *= big_m
+            acc -= q
+            if acc.min() < -self._psi:
+                acc[acc < -self._psi] += big_m
+            ints = acc  # (G, C, R) signed float64
         else:
+            x_res = forward_convert_signed(x_mant, self.mset)  # (n, C, G, g)
             res_out = self.engine.mvm_grouped(pw.residues, x_res)  # (n, G, C, T, v)
-            ints = to_signed(_crt(res_out, self.mset), self.mset).astype(
+            ints = to_signed(crt_reverse(res_out, self.mset), self.mset).astype(
                 np.float64
-            )  # (G, C, T, v)
+            ).reshape(num_groups, c, row_tiles * cfg.v)[:, :, :r]
+            # (G, C, R), padding rows dropped
 
-        # Fold (T, v) back into the padded row axis and drop padding rows.
-        ints = ints.reshape(num_groups, c, row_tiles * cfg.v)[:, :, :r]
-
-        # Steps 8-9: exponent scale + accumulate.  Groups are accumulated
-        # in ascending order with one fused scale each — the same float64
-        # operation order as bfp_matmul_exact, keeping bit-exactness.
-        out = np.zeros((r, c), dtype=np.float64)
-        shift = -2 * cfg.bm
-        for gi in range(num_groups):
-            scale = np.ldexp(
-                1.0, (x_exp[:, gi][:, None] + pw.exponents[:, gi][None, :]) + shift
-            )  # (C, R)
-            out += (ints[gi] * scale).T
-        return out
-
-
-def _crt(residues: np.ndarray, mset: ModuliSet) -> np.ndarray:
-    from ..rns.conversion import crt_reverse
-
-    return crt_reverse(residues, mset)
+        # Steps 8-9: one table read gives every 2^(e_x + e_w - 2bm) scale,
+        # one multiply applies them, and groups accumulate in ascending
+        # order from zeros — the float64 operation order of
+        # bfp_matmul_exact, so the result is bit-identical (-0.0 and
+        # subnormal partials included).
+        scale_index = (x_exp.T + self._exp_offset)[:, :, None] + pw.exponents[:, None, :]
+        terms = ints * POW2.take(scale_index, mode="clip")  # (G, C, R)
+        out = np.zeros((c, r))
+        for term in terms:
+            out += term
+        return out.T.copy()

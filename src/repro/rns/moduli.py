@@ -73,6 +73,7 @@ class ModuliSet:
     """
 
     moduli: Tuple[int, ...]
+    _big_m: int = field(init=False, repr=False, compare=False)
     _mi: Tuple[int, ...] = field(init=False, repr=False, compare=False)
     _ti: Tuple[int, ...] = field(init=False, repr=False, compare=False)
     _mr_inv: Tuple[Tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
@@ -90,6 +91,7 @@ class ModuliSet:
             raise ValueError(f"moduli must be pairwise co-prime; offending pairs: {bad}")
         object.__setattr__(self, "moduli", mods)
         big_m = reduce(lambda a, b: a * b, mods, 1)
+        object.__setattr__(self, "_big_m", big_m)
         mi = tuple(big_m // m for m in mods)
         ti = tuple(pow(mi_k % m, -1, m) for mi_k, m in zip(mi, mods))
         object.__setattr__(self, "_mi", mi)
@@ -114,7 +116,7 @@ class ModuliSet:
     @property
     def dynamic_range(self) -> int:
         """``M = prod(m_i)`` — the count of uniquely representable integers."""
-        return reduce(lambda a, b: a * b, self.moduli, 1)
+        return self._big_m
 
     @property
     def dynamic_range_bits(self) -> float:

@@ -1054,6 +1054,7 @@ class TokenServingEngine:
                         category=phase,
                         args=chunk_args.get(sid, step_args),
                     )
+            next_inputs = None if outputs is None else next_token_input(outputs)
             for i, session in enumerate(decoders):
                 if session.finished:
                     continue  # static-mode padding slot
@@ -1066,9 +1067,8 @@ class TokenServingEngine:
                     continue
                 session.tokens_generated += 1
                 if outputs is not None:
-                    row = outputs[i]
-                    session.outputs.append(row.copy())
-                    session.x = next_token_input(row)
+                    session.outputs.append(outputs[i].copy())
+                    session.x = next_inputs[i]
                 if session.first_token_time is None:
                     session.first_token_time = t_end
                     if self.tracer is not None:
@@ -1194,8 +1194,7 @@ def sequential_decode_outputs(
         rows: List[np.ndarray] = []
         for _ in range(session.decode_len):
             out = executor.run_sequential(profile.model, x[None, :])
-            row = out[0]
-            rows.append(row.copy())
-            x = next_token_input(row)
+            rows.append(out[0].copy())
+            x = next_token_input(out)[0]
         outputs[session.session_id] = rows
     return outputs

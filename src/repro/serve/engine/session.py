@@ -39,17 +39,20 @@ __all__ = [
 ]
 
 
-def next_token_input(out_row: np.ndarray) -> np.ndarray:
-    """Deterministic token recurrence: the next step's input row.
+def next_token_input(out: np.ndarray) -> np.ndarray:
+    """Deterministic token recurrence: the next step's input rows.
 
-    The output row, rescaled by its own max-magnitude when that exceeds
-    one, so arbitrarily long decodes stay bounded.  Every operation is
-    row-local (no reduction across the batch), which is what makes the
-    per-token stream independent of batch composition.
+    Each output row (the last axis), rescaled by its own max-magnitude
+    when that exceeds one, so arbitrarily long decodes stay bounded.
+    Every operation is row-local (no reduction across the batch), which
+    is what makes the per-token stream independent of batch composition;
+    a 2-D batch gives, byte for byte, the rows one call per row gives.
+    Dividing by ``fmax(scale, 1)`` leaves rows with ``scale <= 1`` (or a
+    NaN scale) exactly as they are.
     """
-    row = np.asarray(out_row, dtype=np.float64)
-    scale = float(np.max(np.abs(row))) if row.size else 0.0
-    return row / scale if scale > 1.0 else row
+    arr = np.asarray(out, dtype=np.float64)
+    scale = np.abs(arr).max(axis=-1, keepdims=True, initial=0.0)
+    return arr / np.fmax(scale, 1.0)
 
 
 @dataclass(frozen=True)

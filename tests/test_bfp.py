@@ -186,3 +186,63 @@ class TestGemmProperties:
         else:
             _, e = np.frexp(abs(value))
             assert abs(q - value) <= 2.0 ** (int(e) - cfg.bm) + 1e-12
+
+
+class TestDeepGroups:
+    """Groups whose max |v| lies below ~2^(bm - 1023): the mantissa scale
+    2^(bm - e) overflows to inf there, so forming it first turned zeros
+    into NaN (then INT64_MIN) and clamped nonzeros to ±(2^bm - 1)."""
+
+    def _rows(self, seed):
+        rng = np.random.default_rng(seed)
+        rows = rng.normal(size=(24, 40)) * np.ldexp(
+            1.0, rng.integers(-1074, 1001, (24, 1))
+        )
+        rows[rng.random(rows.shape) < 0.3] = 0.0
+        rows[:3] = 0.0
+        rows[1, :3] = (2.0**-1060, 0.0, 3 * 2.0**-1062)
+        rows[2, 0] = 5e-324  # the smallest subnormal, alone in its group
+        return rows
+
+    def _ldexp_reference(self, rows, bm):
+        """Truncated mantissae by ``ldexp`` on the values (never overflows)."""
+        grouped = np.zeros((24, 48))
+        grouped[:, :40] = rows
+        grouped = grouped.reshape(24, 3, 16)
+        _, exps = np.frexp(np.abs(grouped).max(axis=-1))
+        return np.trunc(np.ldexp(grouped, (bm - exps)[..., None])), exps
+
+    @pytest.mark.parametrize("bm", [3, 4, 8])
+    def test_encode_matrix_matches_ldexp_on_values(self, bm):
+        cfg = BFPConfig(bm, 16)
+        rows = self._rows(bm)
+        mant, exps = bfp_encode_matrix(rows, cfg)
+        ref, ref_exps = self._ldexp_reference(rows, bm)
+        assert np.array_equal(exps, ref_exps)
+        assert np.array_equal(mant, ref.astype(np.int64))
+        assert np.abs(mant).max() <= cfg.mantissa_range
+        for i, row in enumerate(rows):
+            block = encode_groups(row, cfg)
+            assert np.array_equal(mant[i], block.mantissae)
+            assert np.array_equal(exps[i], block.exponents)
+
+    @pytest.mark.parametrize("bm", [3, 4, 8])
+    def test_quantize_tensor_is_finite_and_exact(self, bm):
+        cfg = BFPConfig(bm, 16)
+        rows = self._rows(bm + 10)
+        mant, exps = self._ldexp_reference(rows, bm)
+        ref = np.ldexp(mant, (exps - bm)[..., None])  # keeps -0.0
+        q = quantize_tensor(rows, cfg)
+        assert np.all(np.isfinite(q))
+        assert q.tobytes() == ref.reshape(24, 48)[:, :40].tobytes()
+        assert q[2, 0] == 5e-324
+        for i, row in enumerate(rows):
+            # Integer mantissae drop the sign of -0.0: compare values.
+            assert np.array_equal(encode_groups(row, cfg).decode(), q[i])
+
+    def test_exact_gemm_of_subnormal_row(self):
+        w = np.zeros((1, 16))
+        w[0, 0], w[0, 2] = 2.0**-1060, 3 * 2.0**-1062
+        x = np.full((16, 1), 2.0**60)
+        out = bfp_matmul_exact(w, x, BFPConfig(4, 16))
+        assert out[0, 0] == 14 * 2.0**-1003  # (8*8 + 6*8) * 2^(-1059+61-8)
