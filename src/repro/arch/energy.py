@@ -215,11 +215,6 @@ class MirageEnergyModel:
     def energy_per_mac(self) -> float:
         return mirage_energy_per_mac(self.config, self.params)
 
-    def mac_breakdown(self) -> Dict[str, float]:
-        return mac_energy_breakdown(
-            self.config.bm, self.config.g, self.config.v, self.config.k, self.params
-        )
-
     def peak_power(self) -> float:
         return sum(peak_power_breakdown(self.config, self.params).values())
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conversion import crt_reverse, crt_reverse_signed, forward_convert_signed
+from .conversion import crt_reverse_signed, forward_convert_signed
 from .moduli import ModuliSet
 
 __all__ = [
@@ -151,10 +151,6 @@ class RnsTensor:
     def to_signed(self) -> np.ndarray:
         """Decode back to signed integers via CRT."""
         return crt_reverse_signed(self.residues, self.mset)
-
-    def to_unsigned(self) -> np.ndarray:
-        """Decode to ``[0, M)`` representatives via CRT."""
-        return crt_reverse(self.residues, self.mset)
 
     @property
     def shape(self) -> tuple:

@@ -96,12 +96,6 @@ class SearchPoint:
     dynamic_range_bits: float
     special_equivalent_k: Optional[int]
 
-    @property
-    def is_special_compatible(self) -> bool:
-        """Whether a shift-friendly special set matches this point's
-        channel count and residue precision."""
-        return self.special_equivalent_k is not None
-
 
 def _special_k_matching(target_bits: float, max_bits: int) -> Optional[int]:
     """Smallest special-set ``k`` covering the target within ``max_bits``

@@ -311,30 +311,69 @@ class TokenServingEngine:
                 return waiting[priority][0]
         return None
 
-    def _requeue_preempted(
+    # ------------------------------------------------------------------
+    # Leaving the running batch: requeue, or drop without completing
+    # ------------------------------------------------------------------
+    def _unload(
+        self,
+        session: DecodeSession,
+        running: List[DecodeSession],
+        release: bool = True,
+    ) -> None:
+        # Decref, never free: shared prefix blocks the session attached
+        # stay cached for their other readers (and for its own resume),
+        # only its private blocks return to the pool.
+        if release:
+            self.kv.release(session.session_id)
+        running.remove(session)
+        self._drop_home(session.session_id)
+        self._poisoned.discard(session.session_id)
+
+    def _requeue(
         self,
         session: DecodeSession,
         waiting: Dict[int, Deque[DecodeSession]],
         running: List[DecodeSession],
+        kind: str,
+        release: bool = True,
     ) -> None:
-        # Decref, never free: shared prefix blocks the victim attached
-        # stay cached for their other readers (and for the victim's own
-        # resume), only its private blocks return to the pool.
-        self.kv.release(session.session_id)
-        running.remove(session)
-        self._drop_home(session.session_id)
-        self._poisoned.discard(session.session_id)
+        """Requeue a running session at head-of-class: ``kind`` is
+        ``"preempt"`` (its blocks went to a higher class or to its own
+        growth) or ``"recover"`` (rescued off lost KV).
+
+        A plain ``release`` (dead replica) leaves published prefix
+        blocks cached — the cache layer survives a replica, so the
+        resumed session re-prefills only its uncached suffix.  KV loss
+        uses the destructive ``discard`` upstream (``release=False``
+        here), which purges what it can from the cache too.
+        """
+        self._unload(session, running, release)
         session.status = RequestStatus.PREEMPTED
-        session.preemptions += 1
         session.prefill_done = 0
         session.prefill_target = 0
         waiting.setdefault(session.priority, deque()).appendleft(session)
-        self.telemetry.record_preemption(session)
+        if kind == "preempt":
+            session.preemptions += 1
+            self.telemetry.record_preemption(session)
+        else:
+            session.recoveries += 1
+            self._recovering.add(session.session_id)
+            self.telemetry.record_recovery(session)
         if self.tracer is not None:
             self._wait_since[session.session_id] = self._now
-            self.tracer.instant(
-                "session", session.session_id, "preempt", self._now
-            )
+            self.tracer.instant("session", session.session_id, kind, self._now)
+
+    def _drop(self, session: DecodeSession, status: str, kind: str, t: float) -> None:
+        """A session leaving without completing (``kind`` is ``reject``,
+        ``shed`` or ``fail``): one telemetry record, one trace instant
+        and one SLO miss."""
+        session.status = status
+        self.telemetry.record_drop(session, kind)
+        if self.tracer is not None:
+            self._wait_since.pop(session.session_id, None)
+            self.tracer.instant("session", session.session_id, kind, t)
+        if self._slo is not None:
+            self._slo.observe(f"class{session.priority}", t, good=False)
 
     # ------------------------------------------------------------------
     # Session homes (KV locality under faults)
@@ -425,7 +464,7 @@ class TokenServingEngine:
         if event.kind == FaultKind.KV_LOSS:
             lost = self.kv.discard(victim.session_id)
             self.telemetry.record_kv_loss(lost)
-            self._recover(victim, waiting, running, release=False)
+            self._requeue(victim, waiting, running, "recover", release=False)
 
     def _handle_dead_replica(
         self,
@@ -438,60 +477,15 @@ class TokenServingEngine:
         victims = [s for s in running if self._homes.get(s.session_id) == wid]
         for victim in victims:
             if self.config.recovery:
-                self._recover(victim, waiting, running, release=True)
+                self._requeue(victim, waiting, running, "recover")
             else:
-                self.kv.release(victim.session_id)
-                running.remove(victim)
-                self._drop_home(victim.session_id)
-                self._poisoned.discard(victim.session_id)
-                victim.status = RequestStatus.FAILED
-                self.telemetry.record_session_failure(victim)
-                if self.tracer is not None:
-                    self.tracer.instant(
-                        "session", victim.session_id, "fail", now
-                    )
-                if self._slo is not None:
-                    self._slo.observe(
-                        f"class{victim.priority}", now, good=False
-                    )
+                self._unload(victim, running)
+                self._drop(victim, RequestStatus.FAILED, "fail", now)
         if self.config.recovery:
             new_wid = self.pool.replace_worker(
                 wid, now, lambda name: self.service.prewarm_latency(name)
             )
             self.telemetry.record_replacement(wid, new_wid)
-
-    def _recover(
-        self,
-        session: DecodeSession,
-        waiting: Dict[int, Deque[DecodeSession]],
-        running: List[DecodeSession],
-        release: bool = True,
-    ) -> None:
-        """Rescue a session off lost KV: requeue at head-of-class.
-
-        A plain ``release`` (dead replica) leaves published prefix
-        blocks cached — the cache layer survives a replica, so the
-        resumed session re-prefills only its uncached suffix.  KV loss
-        uses the destructive ``discard`` upstream (``release=False``
-        here), which purges what it can from the cache too.
-        """
-        if release:
-            self.kv.release(session.session_id)
-        running.remove(session)
-        self._drop_home(session.session_id)
-        self._poisoned.discard(session.session_id)
-        session.status = RequestStatus.PREEMPTED
-        session.recoveries += 1
-        session.prefill_done = 0
-        session.prefill_target = 0
-        waiting.setdefault(session.priority, deque()).appendleft(session)
-        self._recovering.add(session.session_id)
-        self.telemetry.record_recovery(session, 0)
-        if self.tracer is not None:
-            self._wait_since[session.session_id] = self._now
-            self.tracer.instant(
-                "session", session.session_id, "recover", self._now
-            )
 
     def _shed_waiting(
         self, waiting: Dict[int, Deque[DecodeSession]]
@@ -505,17 +499,7 @@ class TokenServingEngine:
         while depth > cap:
             priority = min(p for p, q in waiting.items() if q)
             victim = waiting[priority].pop()
-            victim.status = RequestStatus.EVICTED
-            self.telemetry.record_shed(victim)
-            if self.tracer is not None:
-                self._wait_since.pop(victim.session_id, None)
-                self.tracer.instant(
-                    "session", victim.session_id, "shed", self._now
-                )
-            if self._slo is not None:
-                self._slo.observe(
-                    f"class{victim.priority}", self._now, good=False
-                )
+            self._drop(victim, RequestStatus.EVICTED, "shed", self._now)
             depth -= 1
 
     def _next_fault_horizon(
@@ -558,34 +542,11 @@ class TokenServingEngine:
         every in-flight and waiting session fails instead of stranding
         the loop."""
         for session in list(running):
-            self.kv.release(session.session_id)
-            running.remove(session)
-            self._drop_home(session.session_id)
-            self._poisoned.discard(session.session_id)
-            session.status = RequestStatus.FAILED
-            self.telemetry.record_session_failure(session)
-            if self.tracer is not None:
-                self.tracer.instant(
-                    "session", session.session_id, "fail", self._now
-                )
-            if self._slo is not None:
-                self._slo.observe(
-                    f"class{session.priority}", self._now, good=False
-                )
+            self._unload(session, running)
+            self._drop(session, RequestStatus.FAILED, "fail", self._now)
         for q in waiting.values():
             while q:
-                session = q.popleft()
-                session.status = RequestStatus.FAILED
-                self.telemetry.record_session_failure(session)
-                if self.tracer is not None:
-                    self._wait_since.pop(session.session_id, None)
-                    self.tracer.instant(
-                        "session", session.session_id, "fail", self._now
-                    )
-                if self._slo is not None:
-                    self._slo.observe(
-                        f"class{session.priority}", self._now, good=False
-                    )
+                self._drop(q.popleft(), RequestStatus.FAILED, "fail", self._now)
 
     # ------------------------------------------------------------------
     # Admission (prefix attach + prefill scheduling)
@@ -666,7 +627,7 @@ class TokenServingEngine:
                     # prefix attach: only the suffix the cache could not
                     # supply is charged to recovery.
                     self._recovering.discard(candidate.session_id)
-                    self.telemetry.recovery_reprefill_tokens += (
+                    self.telemetry.record_reprefill(
                         candidate.prefill_target - candidate.prefill_done
                     )
         return admitted
@@ -714,7 +675,7 @@ class TokenServingEngine:
         for victim in victims:
             if self.kv.free_blocks >= need:
                 break
-            self._requeue_preempted(victim, waiting, running)
+            self._requeue(victim, waiting, running, "preempt")
 
     # ------------------------------------------------------------------
     # KV growth (one token per decoding session, preempt under pressure)
@@ -758,7 +719,7 @@ class TokenServingEngine:
                     )
                 else:
                     victim = session
-                self._requeue_preempted(victim, waiting, running)
+                self._requeue(victim, waiting, running, "preempt")
                 if victim is session:
                     break
             else:
@@ -819,16 +780,7 @@ class TokenServingEngine:
                 arrival = sessions[idx]
                 idx += 1
                 if self.kv.blocks_for(arrival.max_context_len) > self.kv.num_blocks:
-                    arrival.status = RequestStatus.REJECTED
-                    self.telemetry.record_rejection(arrival)
-                    if self.tracer is not None:
-                        self.tracer.instant(
-                            "session", arrival.session_id, "reject", t
-                        )
-                    if self._slo is not None:
-                        self._slo.observe(
-                            f"class{arrival.priority}", t, good=False
-                        )
+                    self._drop(arrival, RequestStatus.REJECTED, "reject", t)
                     continue
                 waiting.setdefault(arrival.priority, deque()).append(arrival)
                 if self.tracer is not None:

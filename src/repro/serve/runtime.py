@@ -473,6 +473,12 @@ class Autoscaler:
 # ----------------------------------------------------------------------
 _ARRIVAL, _WORKER_FREE, _DEADLINE, _SCALE, _FAULT, _HEALTH = 0, 1, 2, 3, 4, 5
 
+# How a request leaves without completing -> its terminal status.
+_DROP_STATUS = {
+    "reject": RequestStatus.REJECTED, "evict": RequestStatus.EVICTED,
+    "timeout": RequestStatus.TIMED_OUT, "fail": RequestStatus.FAILED,
+}
+
 
 class ServingRuntime:
     """One serving deployment: models, pool, batcher, queue, telemetry.
@@ -498,6 +504,12 @@ class ServingRuntime:
         self.queue = AdmissionQueue(queue_capacity)
         self.service = ServiceModel(accelerator)
         self.clock = SimulatedClock()
+        if observability is not None and observability.streaming:
+            raise ValueError(
+                "ServingRuntime has no streaming telemetry mode: its "
+                "Telemetry keeps every request, so "
+                "Observability(streaming=True) would not bound memory"
+            )
         self.obs = observability
         registry = observability.registry if observability is not None else None
         self.tracer = observability.tracer if observability is not None else None
@@ -654,9 +666,7 @@ class ServingRuntime:
                 # requests fail terminally instead of crashing the loop.
                 for model in list(self.queue.models_waiting()):
                     for r in self.queue.pop_batch(model, self.queue.depth):
-                        r.status = RequestStatus.FAILED
-                        self.telemetry.record_failure(r)
-                        self._trace_terminal(r, "fail", self.clock.now)
+                        self._drop(r, "fail", self.clock.now)
             else:
                 raise RuntimeError(
                     f"event loop ended with {self.queue.depth} requests stranded"
@@ -705,8 +715,7 @@ class ServingRuntime:
         if self.retry.deadline_s is not None:
             request.deadline = now + self.retry.deadline_s
         if not self.queue.offer(request):
-            self.telemetry.record_rejection(request)
-            self._trace_terminal(request, "reject", now)
+            self._drop(request, "reject", now)
         else:
             if self.tracer is not None:
                 self._wait_since[request.request_id] = now
@@ -714,13 +723,13 @@ class ServingRuntime:
                     "request", request.request_id, "enqueue", now
                 )
         for victim in self.queue.drain_evicted():
-            self.telemetry.record_rejection(victim)
-            self._trace_terminal(victim, "evict", now)
+            self._drop(victim, "evict", now)
 
-    def _trace_terminal(
-        self, request: InferenceRequest, kind: str, now: float
-    ) -> None:
-        """A request leaving without completing: instant + SLO miss."""
+    def _drop(self, request: InferenceRequest, kind: str, now: float) -> None:
+        """A request leaving without completing: its terminal status,
+        one telemetry record, one trace instant and one SLO miss."""
+        request.status = _DROP_STATUS[kind]
+        self.telemetry.record_drop(request, kind)
         if self.tracer is not None:
             self._wait_since.pop(request.request_id, None)
             self.tracer.instant("request", request.request_id, kind, now)
@@ -783,14 +792,10 @@ class ServingRuntime:
         if request.deadline is not None and not time_at_or_before(
             now, request.deadline
         ):
-            request.status = RequestStatus.TIMED_OUT
-            self.telemetry.record_timeout(request)
-            self._trace_terminal(request, "timeout", now)
+            self._drop(request, "timeout", now)
             return
         if request.retries >= self.retry.max_retries:
-            request.status = RequestStatus.FAILED
-            self.telemetry.record_failure(request)
-            self._trace_terminal(request, "fail", now)
+            self._drop(request, "fail", now)
             return
         request.retries += 1
         if self.queue.offer(request, front=True):
@@ -805,18 +810,15 @@ class ServingRuntime:
                     args={"hedged": hedged},
                 )
         else:
-            self.telemetry.record_rejection(request)
-            self._trace_terminal(request, "reject", now)
+            self._drop(request, "reject", now)
         for victim in self.queue.drain_evicted():
-            self.telemetry.record_rejection(victim)
-            self._trace_terminal(victim, "evict", now)
+            self._drop(victim, "evict", now)
 
     # ------------------------------------------------------------------
     def _drain(self, now: float, push) -> None:
         """Dispatch every batch that is ready and has a free worker."""
         for request in self.queue.expire(now):
-            self.telemetry.record_timeout(request)
-            self._trace_terminal(request, "timeout", now)
+            self._drop(request, "timeout", now)
         while True:
             dispatched = False
             # Snapshot: ready_model recomputes triggers after each pop;
@@ -842,8 +844,7 @@ class ServingRuntime:
     def _dispatch(self, model: str, worker, now: float, push) -> None:
         batch = self.batcher.take_batch(self.queue, model, now)
         for request in self.batcher.drain_expired():
-            self.telemetry.record_timeout(request)
-            self._trace_terminal(request, "timeout", now)
+            self._drop(request, "timeout", now)
         if not batch:
             return  # every popped request had expired
         service_s = self.service.batch_latency(model, len(batch))

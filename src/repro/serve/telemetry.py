@@ -33,7 +33,7 @@ from .observability.metrics import MetricsRegistry
 from .observability.quantiles import percentile
 from .observability.sketch import QuantileSketch
 from .observability.streaming import SpaceSavingTopK, WindowedSketch
-from .request import InferenceRequest, RequestStatus
+from .request import InferenceRequest
 
 __all__ = [
     "EngineTelemetry",
@@ -60,6 +60,11 @@ class _BatchRecord:
     worker_id: int
     dispatch_time: float
     service_s: float
+
+
+# Request drop kind -> its serve_requests_shed_total "reason" label.
+_SHED_REASONS = {"reject": "rejected", "evict": "evicted",
+                 "timeout": "timeout", "fail": "failed"}
 
 
 class Telemetry:
@@ -136,16 +141,25 @@ class Telemetry:
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
-    def record_rejection(self, request: InferenceRequest) -> None:
-        """A shed request — rejected at admission or evicted by a higher
-        class; both count against its class's SLO attainment."""
-        self.rejected += 1
-        self.rejected_by_class[request.priority] += 1
-        if request.status == RequestStatus.EVICTED:
-            self.evicted += 1
-            self._m_shed.labels(request.priority, "evicted").inc()
+    def record_drop(self, request: InferenceRequest, kind: str) -> None:
+        """A request leaving without completing, by ``kind``: shed at
+        admission (``reject``, or ``evict`` by a higher class), its
+        deadline expired before service (``timeout``), or abandoned
+        after exhausting its retry budget (``fail``).  Each counts as
+        an SLO miss for its class."""
+        priority = request.priority
+        if kind == "timeout":
+            self.timeouts += 1
+            self.timeouts_by_class[priority] += 1
+        elif kind == "fail":
+            self.failed += 1
+            self.failed_by_class[priority] += 1
         else:
-            self._m_shed.labels(request.priority, "rejected").inc()
+            self.rejected += 1
+            self.rejected_by_class[priority] += 1
+            if kind == "evict":
+                self.evicted += 1
+        self._m_shed.labels(priority, _SHED_REASONS[kind]).inc()
 
     def record_retry(self, request: InferenceRequest, hedged: bool = False) -> None:
         """A request re-entering admission after its dispatch was lost
@@ -155,22 +169,6 @@ class Telemetry:
         if hedged:
             self.hedges += 1
         self._m_retries.labels("true" if hedged else "false").inc()
-
-    def record_timeout(self, request: InferenceRequest) -> None:
-        """A request whose per-request deadline expired before service.
-
-        Counts as an SLO miss for its class, like a rejection."""
-        self.timeouts += 1
-        self.timeouts_by_class[request.priority] += 1
-        self._m_shed.labels(request.priority, "timeout").inc()
-
-    def record_failure(self, request: InferenceRequest) -> None:
-        """A request abandoned after exhausting its retry budget.
-
-        Counts as an SLO miss for its class, like a rejection."""
-        self.failed += 1
-        self.failed_by_class[request.priority] += 1
-        self._m_shed.labels(request.priority, "failed").inc()
 
     def record_crash(self, worker_id: int) -> None:
         self.crashes += 1
@@ -791,10 +789,18 @@ class EngineTelemetry:
         if session.ttft is not None:
             self._m_ttft.observe(session.ttft, str(session.priority))
 
-    def record_rejection(self, session) -> None:
-        self._reject(session)
-
-    def _reject(self, session) -> None:
+    def record_drop(self, session, kind: str) -> None:
+        """A session leaving without completing, by ``kind``: it can
+        never fit the KV pool (``reject``), it was shed from a full
+        waiting queue to protect higher classes (``shed``, which also
+        counts as a rejection), or its replica died with recovery off
+        or the fleet stranded it (``fail``)."""
+        if kind == "fail":
+            self.sessions_failed += 1
+            self._m_failed.labels().inc()
+            return
+        if kind == "shed":
+            self.sessions_shed += 1
         self._rejected_by_class[int(session.priority)] += 1
         if not self.streaming:
             self.rejected.append(session)
@@ -834,24 +840,16 @@ class EngineTelemetry:
             self.faults_corrected += 1
             self._m_transients.labels("corrected").inc()
 
-    def record_recovery(self, session, reprefill_tokens: int) -> None:
+    def record_recovery(self, session) -> None:
         """A session rescued off a dead replica (or lost KV) and
-        requeued; ``reprefill_tokens`` is the context it must rebuild."""
+        requeued."""
         self.sessions_recovered += 1
-        self.recovery_reprefill_tokens += int(reprefill_tokens)
         self._m_recovered.labels().inc()
 
-    def record_session_failure(self, session) -> None:
-        """A session abandoned because recovery is disabled (or
-        impossible) after its replica died."""
-        self.sessions_failed += 1
-        self._m_failed.labels().inc()
-
-    def record_shed(self, session) -> None:
-        """A waiting session shed to protect higher classes under
-        capacity loss; also counts as a rejection for SLO purposes."""
-        self.sessions_shed += 1
-        self._reject(session)
+    def record_reprefill(self, tokens: int) -> None:
+        """A recovered session's readmission: ``tokens`` is the context
+        it rebuilds beyond what the prefix cache supplied."""
+        self.recovery_reprefill_tokens += int(tokens)
 
     def record_kv_loss(self, blocks: int) -> None:
         self.kv_blocks_lost += int(blocks)

@@ -19,13 +19,18 @@ from repro.serve import (
     InferenceRequest,
     MicroBatcher,
     ModelProfile,
+    Observability,
     RequestStatus,
     RetryPolicy,
+    SLOSpec,
+    SLOTracker,
     ServingRuntime,
     SimulatedClock,
+    default_windows,
     diurnal_scenario,
     model_layer_shapes,
     poisson_scenario,
+    priority_scenario,
 )
 from repro.serve.traffic import Scenario
 
@@ -343,6 +348,12 @@ class TestRuntimeEndToEnd:
         with pytest.raises(ValueError):
             rt.register_model(ModelProfile("cnn", model, replicas=1))
 
+    def test_streaming_observability_is_refused(self):
+        # Request-level telemetry keeps every request: accepting the
+        # bounded-memory flag would silently ignore it.
+        with pytest.raises(ValueError, match="ServingRuntime"):
+            make_runtime(observability=Observability(streaming=True))
+
     @pytest.mark.slow
     def test_sustained_overload_stress(self):
         """Long saturating trace: no stranding, bounded queue, stable stats."""
@@ -416,7 +427,8 @@ class TestRuntimeEndToEnd:
 # ----------------------------------------------------------------------
 # Event-loop wake-ups: one pending deadline per timestamp
 # ----------------------------------------------------------------------
-def _backlog_runtime(seed=5, duration=1e-6, kills=(), deadline_s=None):
+def _backlog_runtime(seed=5, duration=1e-6, kills=(), deadline_s=None,
+                     observability=None):
     """A diurnal ramp that backs the queue up past one batching window.
 
     Micro-batches of 32 with the autoscaler on (its scale-ups arm
@@ -437,6 +449,7 @@ def _backlog_runtime(seed=5, duration=1e-6, kills=(), deadline_s=None):
         ),
         retry=RetryPolicy(deadline_s=deadline_s),
         health=HealthPolicy(suspect_after_s=5e-8, dead_after_s=1.5e-7),
+        observability=observability,
     )
     runtime.register_model(ModelProfile("m0", mlp(0), replicas=1, slo_s=2e-6))
     scen = diurnal_scenario("m0", 2e8, 3.2e9, duration, seed=seed, period=duration)
@@ -445,6 +458,27 @@ def _backlog_runtime(seed=5, duration=1e-6, kills=(), deadline_s=None):
         if kills
         else None
     )
+    runtime.run(scen, seed=7, faults=plan)
+    return runtime, scen
+
+
+def _priority_kill_runtime(observability=None, rate=2e9, duration=3e-7,
+                           kills=(1e-7,), **retry):
+    """Two classes through a 6-deep queue with one replica kill: with
+    no retry budget, arrivals are rejected, class-0 waiters are evicted
+    by class-1 arrivals, and the killed worker's batch fails outright.
+    ``retry`` overrides :class:`RetryPolicy` fields."""
+    runtime = ServingRuntime(
+        ExecutorPool(2),
+        BatchPolicy(max_batch_size=4, max_wait_s=1e-7),
+        queue_capacity=6,
+        retry=RetryPolicy(**{"max_retries": 0, **retry}),
+        health=HealthPolicy(suspect_after_s=5e-8, dead_after_s=1.5e-7),
+        observability=observability,
+    )
+    runtime.register_model(ModelProfile("m0", mlp(0), replicas=2, slo_s=2e-6))
+    scen = priority_scenario("m0", rate, duration, {0: 2, 1: 1}, seed=4)
+    plan = FaultPlan.replica_kills([(t, 0) for t in kills])
     runtime.run(scen, seed=7, faults=plan)
     return runtime, scen
 
@@ -511,3 +545,54 @@ class TestDeadlineWakeups:
         # depth-sample mean may move (one sample per popped event).
         runtime, scen = _backlog_runtime(**kwargs)
         assert _run_digest(runtime, scen) == expected
+
+    @pytest.mark.parametrize(
+        "run, kwargs, expected",
+        [
+            (
+                _backlog_runtime,
+                {},
+                "1b1c1d897dcf3a8b015e33262815e78d4eca87f713f16bf0d6cc32182f2ee02d",
+            ),
+            (
+                _backlog_runtime,
+                {"seed": 6, "kills": (0.3, 0.55), "deadline_s": 8e-8},
+                "7fc6cfcbca07770a44e4872b74cb1349b2df782c46f48d00c344ba2a53626c0c",
+            ),
+            (
+                _priority_kill_runtime,
+                {},
+                "f57614796590f2195114d147258b7915a968fb6c77a7cb13bec6f4c30fc4f846",
+            ),
+            (
+                _priority_kill_runtime,
+                {"max_retries": 1, "deadline_s": 1e-7, "replace_dead": False,
+                 "kills": (1e-7, 1.5e-7)},
+                "c59bfa6e99247a361ecf99d21eeee9824e53f061082327c9010a15d56d5286eb",
+            ),
+            (
+                _priority_kill_runtime,
+                {"max_retries": 1, "deadline_s": 5e-8, "replace_dead": False,
+                 "kills": (1e-7, 1.5e-7)},
+                "3802a3a3f27f0b71d199ba4133bef2120257c44b035a567fb67520fb0fa486db",
+            ),
+        ],
+        ids=["diurnal-autoscale", "replica-crashes", "priority-kill",
+             "retry-outage", "stale-retry"],
+    )
+    def test_traced_run_matches_recorded_golden(self, run, kwargs, expected):
+        # Every way a request leaves without completing and every retry
+        # reaches the trace, the metrics text and the SLO plane in a
+        # fixed order: rejects and evictions on arrival and on re-entry,
+        # queue and re-entry timeouts, retry-budget failures and the
+        # requests a dead fleet strands at the end of the run.
+        obs = Observability(
+            tracing=True,
+            slo=SLOTracker(SLOSpec("latency", 0.9, default_windows(1e-6))),
+        )
+        runtime, scen = run(observability=obs, **kwargs)
+        h = hashlib.sha256(_run_digest(runtime, scen).encode())
+        h.update(obs.tracer.chrome_trace().encode())
+        h.update(obs.registry.prometheus_text().encode())
+        h.update(json.dumps(_canonical(obs.slo.summary())).encode())
+        assert h.hexdigest() == expected

@@ -16,10 +16,13 @@ from repro.serve import (
     FaultPlan,
     HealthPolicy,
     Observability,
+    SLOSpec,
+    SLOTracker,
     TailSampler,
     TailSamplingPolicy,
     TokenServingEngine,
     decode_scenario,
+    default_windows,
     fleet_rollup,
     parse_prometheus_text,
     report_to_markdown,
@@ -467,11 +470,13 @@ def golden_decode_run(streaming):
     return scenario, engine, engine.run(scenario, seed=0)
 
 
-def golden_prefix_storm_run(streaming):
+def golden_prefix_storm_run(streaming, observability=None, recovery=True):
     """Three-class shared-prefix traffic on 3 replicas with a bounded
     waiting queue, a replica kill, a slow worker and an RRNS/KV-loss
     burst: shed, recovered, stalled, per-class and prefix fields are
     all non-trivial."""
+    if observability is None:
+        observability = Observability(tracing=False, streaming=streaming)
     duration = 1e-6
     scenario = shared_prefix_scenario(
         "m0", rate=2e7, duration=duration, prefix_len=16, suffix_median=4,
@@ -488,8 +493,8 @@ def golden_prefix_storm_run(streaming):
         ),
     )
     engine = make_engine(
-        observability=Observability(tracing=False, streaming=streaming),
-        blocks=24, max_batch_size=4, execute=False, recovery=True,
+        observability=observability,
+        blocks=24, max_batch_size=4, execute=False, recovery=recovery,
         max_waiting=8,
         health=HealthPolicy(suspect_after_s=1e-8, dead_after_s=3e-8),
     )
@@ -505,6 +510,66 @@ def summary_digest(run, streaming):
     return hashlib.sha256(
         json.dumps(doc, sort_keys=True).encode()
     ).hexdigest()
+
+
+def golden_tiny_kv_run(observability):
+    """Three classes on a 7-block pool: the 44-token prompt can never
+    fit and is rejected on arrival, and the class-2 arrivals preempt
+    class-0 sessions at admission and during growth."""
+    arrivals = (
+        (0.0, "m0", 0, 6, 10),
+        (1e-9, "m0", 0, 8, 12),
+        (2e-9, "m0", 1, 40, 4),
+        (3e-9, "m0", 2, 10, 8),
+        (4e-9, "m0", 2, 6, 9),
+        (5e-9, "m0", 1, 5, 6),
+    )
+    engine = make_engine(
+        observability=observability, blocks=7, max_batch_size=4,
+        execute=False,
+    )
+    scenario = Scenario("decode", arrivals, 6e-9)
+    return scenario, engine, engine.run(scenario, seed=0)
+
+
+def golden_stranded_run(observability):
+    """One replica, killed mid-run with recovery off: the dead
+    declaration fails its sessions and the rest strand with no
+    replacement coming, so the loop fails every one left."""
+    engine = make_engine(
+        observability=observability, replicas=1, execute=False,
+        recovery=False, max_batch_size=4,
+        health=HealthPolicy(suspect_after_s=1e-8, dead_after_s=3e-8),
+    )
+    scenario = decode_trace(n=10, spacing=2e-8)
+    plan = FaultPlan.replica_kills([(5e-8, 0)])
+    return scenario, engine, engine.run(scenario, seed=0, faults=plan)
+
+
+def traced_digest(run, streaming):
+    """Hash the trace, the Prometheus text, the SLO summary and the
+    telemetry summary plus report of one fully observed run."""
+    obs = Observability(
+        tracing=True, streaming=streaming,
+        slo=SLOTracker(SLOSpec("ttft", 0.95, default_windows(1e-6))),
+    )
+    scenario, engine, telemetry = run(obs)
+    makespan = telemetry.makespan()
+    doc = {
+        "summary": telemetry.summary(makespan, ttft_slo_s=1e-5),
+        "report": engine.report(scenario),
+        "slo": obs.slo.summary(makespan),
+    }
+    h = hashlib.sha256(json.dumps(doc, sort_keys=True).encode())
+    h.update(obs.tracer.chrome_trace().encode())
+    h.update(obs.registry.prometheus_text().encode())
+    return h.hexdigest()
+
+
+def storm_run(recovery):
+    return lambda obs: golden_prefix_storm_run(
+        obs.streaming, observability=obs, recovery=recovery
+    )
 
 
 class TestGoldenTelemetrySummaries:
@@ -537,3 +602,23 @@ class TestGoldenTelemetrySummaries:
     )
     def test_digest(self, run, streaming, digest):
         assert summary_digest(run, streaming) == digest
+
+    # Fully observed runs: every way a session leaves without completing
+    # (reject, shed, preempt, recover, fail on a dead replica, fail
+    # stranded) reaches the trace, the metrics text and the SLO plane.
+    @pytest.mark.parametrize(
+        "run, streaming, digest",
+        [
+            (storm_run(True), False, "e4f3b4b31f0eaa2a80c8ab1b1173c36d4584f4e92d4095058143603ddff54902"),
+            (storm_run(True), True, "a30232614a19a22f4d5d66dd7d906a65f0243a07799911f9fbed6be258c9ddfa"),
+            (storm_run(False), False, "fa8496580a5c8fdcda04070b8ea0331b8381202175c6b61ac7be71d6b093f454"),
+            (storm_run(False), True, "d1f2950b2d42d26476a0e637fc90a1d4a6e39939c49dbc79903e520549e9e65e"),
+            (golden_tiny_kv_run, False, "e2418255ac9ee799bb36211509584835cafe0f6e4c5a48e7281bc96c61ffbfbf"),
+            (golden_stranded_run, False, "c55ceb5dff38ba510bbc4b6cf90efd4c70e57a05c3e3a57e1d42d6afa7521b40"),
+        ],
+        ids=["storm-recovery-exact", "storm-recovery-streaming",
+             "storm-no-recovery-exact", "storm-no-recovery-streaming",
+             "tiny-kv", "stranded"],
+    )
+    def test_traced_digest(self, run, streaming, digest):
+        assert traced_digest(run, streaming) == digest
